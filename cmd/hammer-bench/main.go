@@ -42,36 +42,32 @@ func main() {
 
 func run() error {
 	var (
-		exp         = flag.String("exp", "all", "experiment: fig1|fig6|fig7|fig8|fig9|fig10|correctness|distributed|all, plus faults, families, schedbench, conformance, loadplane, blockbench and storebench (explicit only); 'list' prints them all")
-		quick       = flag.Bool("quick", false, "shrink workloads for a fast smoke run")
-		outDir      = flag.String("out", "results", "directory for CSV export")
-		seed        = flag.Int64("seed", 7, "random seed")
-		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for experiment sweeps (results are identical at any value)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		benchjson   = flag.Bool("benchjson", false, "record per-experiment TPS/wall-clock/allocs into a numbered BENCH_<n>.json under -out")
-		events      = flag.Int("events", 1_000_000, "event count for -exp schedbench")
-		schedShards = flag.Int("sched-shards", 0, "run simulations on the sharded event engine with N timer-wheel shards (0 = single wheel; results are identical)")
-		lpListen    = flag.String("lp-listen", "", "serve the load-plane coordinator at this address for external hammer-worker processes (-exp loadplane)")
-		lpWorkers   = flag.Int("lp-workers", 2, "load-plane partition count: expected worker processes with -lp-listen, in-process shards otherwise")
-		lpClients   = flag.Int("lp-clients", 0, "run the canonical load-plane spec at this population and write loadplane_merged.csv (0 = scale sweep)")
-		lpSeconds   = flag.Int("lp-seconds", 0, "virtual duration of the canonical load-plane spec (0 = the experiment default)")
-		lpBench     = flag.Bool("lp-bench", false, "measure load-plane injection rate and heap at 100k/1M clients across 1/2/4 shards (-exp loadplane)")
-		stateKind   = flag.String("state", "mem", "world-state backend every SUT run mounts: mem (in-RAM map) | paged (disk-backed paged store); results are byte-identical")
-		stateCache  = flag.Int("state-cache-mb", 0, "page-cache budget per paged state instance in MiB (0 = store default, 64)")
-		stateDir    = flag.String("state-dir", "", "directory for paged-state files (default: OS temp); run files are removed afterwards")
-		stateSnap   = flag.String("state-snapshot", "", "storebench snapshot path: load the population from it when it exists, save it there otherwise (-exp storebench)")
-		sbAccounts  = flag.Int("sb-accounts", 1_000_000, "paged-store population for -exp storebench")
-		sbOps       = flag.Int("sb-ops", 1_000_000, "operations per measured storebench phase")
-		sbBaseline  = flag.Int("sb-baseline", 1_000_000, "in-RAM baseline population for -exp storebench (0 skips the baseline)")
-		crossRate   = flag.Float64("cross-rate", 0, "cross-shard transfer fraction for -exp families (0 = the 0.2 default)")
+		exp        = flag.String("exp", "all", "experiment: fig1|fig6|fig7|fig8|fig9|fig10|correctness|distributed|all, plus faults, families, schedbench, conformance, loadplane, blockbench and storebench (explicit only); 'list' prints them all")
+		quick      = flag.Bool("quick", false, "shrink workloads for a fast smoke run")
+		outDir     = flag.String("out", "results", "directory for CSV export")
+		seed       = flag.Int64("seed", 7, "random seed")
+		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for experiment sweeps (results are identical at any value)")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		benchjson  = flag.Bool("benchjson", false, "record per-experiment TPS/wall-clock/allocs into a numbered BENCH_<n>.json under -out")
+		events     = flag.Int("events", 1_000_000, "event count for -exp schedbench")
+		lpListen   = flag.String("lp-listen", "", "serve the load-plane coordinator at this address for external hammer-worker processes (-exp loadplane)")
+		lpWorkers  = flag.Int("lp-workers", 2, "load-plane partition count: expected worker processes with -lp-listen, in-process shards otherwise")
+		lpClients  = flag.Int("lp-clients", 0, "run the canonical load-plane spec at this population and write loadplane_merged.csv (0 = scale sweep)")
+		lpSeconds  = flag.Int("lp-seconds", 0, "virtual duration of the canonical load-plane spec (0 = the experiment default)")
+		lpBench    = flag.Bool("lp-bench", false, "measure load-plane injection rate and heap at 100k/1M clients across 1/2/4 shards (-exp loadplane)")
+		stateKind  = flag.String("state", "mem", "world-state backend every SUT run mounts: mem (in-RAM map) | paged (disk-backed paged store); results are byte-identical")
+		stateCache = flag.Int("state-cache-mb", 0, "page-cache budget per paged state instance in MiB (0 = store default, 64)")
+		stateDir   = flag.String("state-dir", "", "directory for paged-state files (default: OS temp); run files are removed afterwards")
+		stateSnap  = flag.String("state-snapshot", "", "storebench snapshot path: load the population from it when it exists, save it there otherwise (-exp storebench)")
+		sbAccounts = flag.Int("sb-accounts", 1_000_000, "paged-store population for -exp storebench")
+		sbOps      = flag.Int("sb-ops", 1_000_000, "operations per measured storebench phase")
+		sbBaseline = flag.Int("sb-baseline", 1_000_000, "in-RAM baseline population for -exp storebench (0 skips the baseline)")
+		crossRate  = flag.Float64("cross-rate", 0, "cross-shard transfer fraction for -exp families (0 = the 0.2 default)")
 	)
 	flag.Parse()
 	if *events < 1 {
 		return fmt.Errorf("-events must be positive, got %d", *events)
-	}
-	if *schedShards < 0 {
-		return fmt.Errorf("-sched-shards must be >= 0, got %d", *schedShards)
 	}
 	if err := experiments.ValidateStateBackend(*stateKind); err != nil {
 		return err
@@ -99,7 +95,6 @@ func run() error {
 	}
 	opts.Seed = *seed
 	opts.Workers = *parallel
-	opts.SchedShards = *schedShards
 	opts.StateBackend = *stateKind
 	opts.StateCacheMB = *stateCache
 	opts.StateDir = *stateDir
@@ -153,7 +148,7 @@ func run() error {
 	explicit := []step{
 		{"faults", func() (float64, error) { return runFaults(ctx, opts, *outDir) }},
 		{"families", func() (float64, error) { return runFamilies(ctx, opts, *outDir) }},
-		{"schedbench", func() (float64, error) { return 0, runSchedBench(*outDir, traj, *events, *schedShards) }},
+		{"schedbench", func() (float64, error) { return 0, runSchedBench(*outDir, traj, *events) }},
 		{"conformance", func() (float64, error) { return 0, runConformance(ctx, opts, *outDir) }},
 		{"loadplane", func() (float64, error) {
 			return runLoadPlane(ctx, opts, *outDir, traj,
@@ -333,13 +328,12 @@ func runConformance(ctx context.Context, opts experiments.Options, outDir string
 	return nil
 }
 
-// runSchedBench compares the binary-heap scheduler, the timer-wheel
-// scheduler, and the sharded epoch-merge engine (across a shard × worker
-// sweep, or pinned to -sched-shards) on an identical deterministic event
-// workload. The default 1M-event run finishes in seconds, so -quick does
-// not shrink it; -events rescales it.
-func runSchedBench(outDir string, traj *perf.Trajectory, events, shards int) error {
-	rows, err := experiments.SchedBench(events, shards)
+// runSchedBench compares the binary-heap scheduler and the timer-wheel
+// scheduler on an identical deterministic event workload. The default
+// 1M-event run finishes in seconds, so -quick does not shrink it; -events
+// rescales it.
+func runSchedBench(outDir string, traj *perf.Trajectory, events int) error {
+	rows, err := experiments.SchedBench(events)
 	if err != nil {
 		return err
 	}
@@ -355,7 +349,7 @@ func runSchedBench(outDir string, traj *perf.Trajectory, events, shards int) err
 		}
 		if traj != nil {
 			traj.Add(perf.Sample{
-				Name:           "schedbench/" + r.Impl + schedLabelSuffix(*r),
+				Name:           "schedbench/" + r.Impl,
 				WallSeconds:    r.Wall.Seconds(),
 				Allocs:         r.Allocs,
 				AllocBytes:     r.AllocBytes,
@@ -371,14 +365,6 @@ func runSchedBench(outDir string, traj *perf.Trajectory, events, shards int) err
 	}
 	header, csvRows := experiments.SchedBenchCSV(rows)
 	return viz.Export(os.Stdout, outDir, viz.Dataset{Name: "schedbench.csv", Header: header, Rows: csvRows})
-}
-
-// schedLabelSuffix distinguishes sharded trajectory samples by configuration.
-func schedLabelSuffix(r experiments.SchedBenchRow) string {
-	if r.Shards > 0 {
-		return fmt.Sprintf("/s=%d,w=%d", r.Shards, r.Workers)
-	}
-	return ""
 }
 
 // progressPrinter emits one line per completed harness run and mirrors the

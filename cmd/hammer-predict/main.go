@@ -40,20 +40,16 @@ func main() {
 
 func run() error {
 	var (
-		exp         = flag.String("exp", "table3", "experiment: table3|fig11|ablation|nnbench|all; 'list' prints them all")
-		quick       = flag.Bool("quick", false, "shrink training budgets for a fast smoke run")
-		outDir      = flag.String("out", "results", "directory for CSV export")
-		seed        = flag.Int64("seed", 7, "random seed")
-		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for experiment sweeps (results are identical at any value)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		benchjson   = flag.Bool("benchjson", false, "record per-experiment wall-clock/allocs into a numbered BENCH_<n>.json under -out")
-		schedShards = flag.Int("sched-shards", 0, "run simulations on the sharded event engine with N timer-wheel shards (0 = single wheel; results are identical)")
+		exp        = flag.String("exp", "table3", "experiment: table3|fig11|ablation|nnbench|all; 'list' prints them all")
+		quick      = flag.Bool("quick", false, "shrink training budgets for a fast smoke run")
+		outDir     = flag.String("out", "results", "directory for CSV export")
+		seed       = flag.Int64("seed", 7, "random seed")
+		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for experiment sweeps (results are identical at any value)")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		benchjson  = flag.Bool("benchjson", false, "record per-experiment wall-clock/allocs into a numbered BENCH_<n>.json under -out")
 	)
 	flag.Parse()
-	if *schedShards < 0 {
-		return fmt.Errorf("-sched-shards must be >= 0, got %d", *schedShards)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -76,7 +72,6 @@ func run() error {
 	}
 	opts.Seed = *seed
 	opts.Workers = *parallel
-	opts.SchedShards = *schedShards
 	opts.OnProgress = func(p harness.Progress) {
 		status := "ok"
 		if p.Err != nil {

@@ -67,25 +67,12 @@ const (
 // component shares: a single hierarchical timer wheel.
 type Scheduler = eventsim.Scheduler
 
-// Sched is the scheduling interface both engines implement; chains and the
-// evaluation engine accept either.
+// Sched is the scheduling interface chains and the evaluation engine accept;
+// *Scheduler implements it.
 type Sched = eventsim.Sched
-
-// ShardedScheduler is the scale-out engine: N timer wheels advancing in
-// lock-step epochs on the shared worker pool, dispatching in an order
-// byte-identical to the single wheel.
-type ShardedScheduler = eventsim.ShardedScheduler
 
 // NewScheduler returns a fresh virtual timeline.
 func NewScheduler() *Scheduler { return eventsim.New() }
-
-// NewShardedScheduler returns a fresh virtual timeline over n timer-wheel
-// shards. Results are byte-identical to NewScheduler for any n.
-func NewShardedScheduler(n int) *ShardedScheduler { return eventsim.NewSharded(n) }
-
-// ShardKey hashes a stable identifier (node name, shard label) into a shard
-// key for the *Key scheduling variants.
-func ShardKey(s string) uint64 { return eventsim.Key(s) }
 
 // Realtime plays a scheduler forward in wall-clock time so simulated chains
 // can serve live traffic (e.g. behind the RPC bridge).

@@ -16,28 +16,18 @@ import (
 
 // Compute models one node's CPU: cores parallel execution lanes onto which
 // costed work items are packed. Run schedules fn at the earliest instant a
-// lane can finish the work. A compute resource belongs to one node, so its
-// completion events carry the node's shard key: on a sharded scheduler all
-// of a node's compute timers stay on one wheel.
+// lane can finish the work.
 type Compute struct {
 	sched eventsim.Sched
-	key   uint64
 	busy  []time.Duration
 }
 
-// NewCompute builds a compute resource with the given core count on shard
-// key 0.
+// NewCompute builds a compute resource with the given core count.
 func NewCompute(sched eventsim.Sched, cores int) *Compute {
-	return NewComputeKey(sched, cores, 0)
-}
-
-// NewComputeKey builds a compute resource whose completion events are
-// pinned to the given shard key.
-func NewComputeKey(sched eventsim.Sched, cores int, key uint64) *Compute {
 	if cores <= 0 {
 		cores = 1
 	}
-	return &Compute{sched: sched, key: key, busy: make([]time.Duration, cores)}
+	return &Compute{sched: sched, busy: make([]time.Duration, cores)}
 }
 
 // Run enqueues work costing cost onto the least-loaded core and schedules fn
@@ -57,7 +47,7 @@ func (c *Compute) Run(cost time.Duration, fn func()) time.Duration {
 	done := start + cost
 	c.busy[best] = done
 	if fn != nil {
-		c.sched.AtKey(c.key, done, fn)
+		c.sched.At(done, fn)
 	}
 	return done
 }

@@ -159,21 +159,14 @@ func New(sched eventsim.Sched, cfg Config) *Chain {
 		c.validators = append(c.validators, Validator(i))
 		c.RegisterNodes(Validator(i))
 	}
-	// Replicas execute a decided block identically; a single lane keyed to
-	// the round timeline bounds the commit time.
-	c.exec = basechain.NewComputeKey(sched, 1, roundKey)
+	// Replicas execute a decided block identically; a single lane bounds
+	// the commit time.
+	c.exec = basechain.NewCompute(sched, 1)
 	return c
 }
 
 // Validator names the i-th committee member.
 func Validator(i int) string { return fmt.Sprintf("validator-%d", i) }
-
-// roundKey pins the round state machine's timers (pacing ticker, view-change
-// timeouts, execution) to one scheduler shard; vote deliveries ride each
-// validator's own netsim key. Determinism at any scheduler shard count
-// follows: every state transition is an event on this key or a keyed
-// delivery, never a wall-clock race.
-var roundKey = eventsim.Key("committee/rounds")
 
 // Network exposes the gossip network as a fault-injection target for the
 // chaos subsystem.
@@ -213,7 +206,7 @@ func (c *Chain) Start() {
 	if !c.MarkStarted() {
 		return
 	}
-	c.ticker = c.Sched.EveryKey(roundKey, c.cfg.BlockInterval, func() {
+	c.ticker = c.Sched.Every(c.cfg.BlockInterval, func() {
 		if c.phase == phaseIdle {
 			c.startRound()
 		}
@@ -243,7 +236,7 @@ func (c *Chain) startRound() {
 	c.gen++
 	g := c.gen
 	c.phase = phaseProposing
-	c.Sched.AfterKey(roundKey, c.cfg.RoundTimeout, func() { c.onTimeout(g) })
+	c.Sched.After(c.cfg.RoundTimeout, func() { c.onTimeout(g) })
 	p := c.proposerIndex()
 	proposer := Validator(p)
 	if c.NodeDown(proposer) {

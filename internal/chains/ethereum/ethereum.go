@@ -159,11 +159,8 @@ func (c *Chain) scheduleNextBlock() {
 	// hash power: losing miners stretches the Poisson interval.
 	mean := time.Duration(float64(c.cfg.BlockInterval) * float64(c.cfg.Nodes) / float64(alive))
 	interval := c.rng.Exponential(mean)
-	c.mining = c.Sched.AfterKey(powShardKey, interval, c.mineBlock)
+	c.mining = c.Sched.After(interval, c.mineBlock)
 }
-
-// powShardKey pins the chain-wide PoW process to one scheduler shard.
-var powShardKey = eventsim.Key("ethereum/pow")
 
 func (c *Chain) mineBlock() {
 	if c.Stopped() {

@@ -141,14 +141,14 @@ func New(sched eventsim.Sched, cfg Config) *Chain {
 	c := &Chain{
 		cfg:       cfg,
 		state:     chain.NewStateFrom(cfg.State),
-		orderer:   basechain.NewComputeKey(sched, cfg.CoresPerNode, ordererShardKey),
-		validator: basechain.NewComputeKey(sched, 1, eventsim.Key("fabric/validator")),
+		orderer:   basechain.NewCompute(sched, cfg.CoresPerNode),
+		validator: basechain.NewCompute(sched, 1),
 	}
 	c.Init("fabric", sched, 1)
 	c.net = netsim.New(sched, cfg.Net)
 	c.RegisterNodes("orderer")
 	for i := 0; i < cfg.Peers; i++ {
-		c.peers = append(c.peers, basechain.NewComputeKey(sched, cfg.CoresPerNode, eventsim.Key(peerName(i))))
+		c.peers = append(c.peers, basechain.NewCompute(sched, cfg.CoresPerNode))
 		c.RegisterNodes(peerName(i))
 	}
 	// An orderer restart cuts whatever the batch timer was sitting on so
@@ -162,10 +162,6 @@ func New(sched eventsim.Sched, cfg Config) *Chain {
 }
 
 func peerName(i int) string { return fmt.Sprintf("peer-%d", i) }
-
-// ordererShardKey pins ordering-service timers (batch cuts, order compute)
-// to one scheduler shard.
-var ordererShardKey = eventsim.Key("orderer")
 
 // Network exposes the cluster network as a fault-injection target for the
 // chaos subsystem.
@@ -279,7 +275,7 @@ func (c *Chain) enqueue(e *endorsed) {
 		return
 	}
 	if !c.batchTimer.Pending() {
-		c.batchTimer = c.Sched.AfterKey(ordererShardKey, c.cfg.BatchTimeout, func() {
+		c.batchTimer = c.Sched.After(c.cfg.BatchTimeout, func() {
 			if len(c.batch) > 0 {
 				c.cutBlock()
 			}

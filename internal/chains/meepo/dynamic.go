@@ -87,7 +87,7 @@ func (c *Chain) resize(target int) {
 		sh := c.AddShard()
 		c.shards = append(c.shards, &shardState{
 			state: chain.NewStateFrom(c.cfg.State),
-			exec:  newShardExec(c),
+			exec:  basechain.NewCompute(c.Sched, 1),
 		})
 		for j := 0; j < c.cfg.MembersPerShard; j++ {
 			c.RegisterNodes(member(sh, j))
@@ -154,11 +154,3 @@ func accountOfKey(key string) string {
 // Resharded reports how many reconfigurations (splits, joins or leaves) have
 // occurred.
 func (c *Chain) Resharded() int { return c.resharded }
-
-// newShardExec keeps resize() readable; it mirrors the constructor's
-// per-shard wiring.
-func newShardExec(c *Chain) *basechain.Compute {
-	// The new chain shard's compute timers ride the scheduler shard
-	// matching its index, like the constructor's wiring.
-	return basechain.NewComputeKey(c.Sched, 1, uint64(len(c.shards)))
-}

@@ -192,9 +192,8 @@ func New(sched eventsim.Sched, cfg Config) *Chain {
 		c.shards = append(c.shards, &shardState{
 			state: chain.NewStateFrom(cfg.State),
 			// Epochs within a shard execute serially; the per-epoch cost
-			// already folds in intra-epoch core parallelism. Each chain
-			// shard's compute timers ride its own scheduler shard.
-			exec: basechain.NewComputeKey(sched, 1, uint64(i)),
+			// already folds in intra-epoch core parallelism.
+			exec: basechain.NewCompute(sched, 1),
 		})
 		for j := 0; j < cfg.MembersPerShard; j++ {
 			c.RegisterNodes(member(i, j))
@@ -287,7 +286,7 @@ func (c *Chain) Start() {
 	if !c.MarkStarted() {
 		return
 	}
-	c.epochs = c.Sched.EveryKey(eventsim.Key("meepo/epochs"), c.cfg.EpochInterval, func() {
+	c.epochs = c.Sched.Every(c.cfg.EpochInterval, func() {
 		if !c.reconfiguring {
 			for sh := 0; sh < c.active; sh++ {
 				c.runEpoch(sh)
@@ -297,7 +296,7 @@ func (c *Chain) Start() {
 	})
 	for _, ev := range c.cfg.Reshard {
 		ev := ev
-		c.Sched.AfterKey(eventsim.Key("meepo/reshard"), ev.At, func() {
+		c.Sched.After(ev.At, func() {
 			if c.Stopped() {
 				return
 			}

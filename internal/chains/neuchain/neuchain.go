@@ -119,7 +119,7 @@ func New(sched eventsim.Sched, cfg Config) *Chain {
 	// Epochs execute strictly one after another; intra-epoch parallelism
 	// across the node's cores is folded into the per-epoch cost, so the
 	// compute resource itself has a single lane.
-	c.exec = basechain.NewComputeKey(sched, 1, epochShardKey)
+	c.exec = basechain.NewCompute(sched, 1)
 	return c
 }
 
@@ -163,11 +163,8 @@ func (c *Chain) Start() {
 	if !c.MarkStarted() {
 		return
 	}
-	c.epochs = c.Sched.EveryKey(epochShardKey, c.cfg.EpochInterval, c.cutEpoch)
+	c.epochs = c.Sched.Every(c.cfg.EpochInterval, c.cutEpoch)
 }
-
-// epochShardKey pins the epoch server's timers to one scheduler shard.
-var epochShardKey = eventsim.Key("epoch-server")
 
 // Stop implements chain.Blockchain.
 func (c *Chain) Stop() {

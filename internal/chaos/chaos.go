@@ -217,19 +217,12 @@ func NewInjector(sched eventsim.Sched, target NodeFaulter, scen Scenario, reg *m
 
 // Arm schedules every scenario event at start+Event.At on the virtual clock.
 // Experiments call it from the driver's measurement-start hook so offsets are
-// relative to the measured window, not to account setup. The whole fault
-// timeline shares one shard key derived from the scenario name, so on a
-// sharded scheduler a scenario's events live on a single wheel.
+// relative to the measured window, not to account setup.
 func (inj *Injector) Arm(start time.Duration) {
-	key := inj.timelineKey()
 	for _, ev := range inj.scen.Events {
 		ev := ev
-		inj.sched.AtKey(key, start+ev.At, func() { inj.apply(ev) })
+		inj.sched.At(start+ev.At, func() { inj.apply(ev) })
 	}
-}
-
-func (inj *Injector) timelineKey() uint64 {
-	return eventsim.Key("chaos/" + inj.scen.Name)
 }
 
 // Applied returns the log of fired events in firing order.
@@ -271,7 +264,7 @@ func (inj *Injector) apply(ev Event) {
 		inj.net.ClearLinkQuality(ev.From, ev.To)
 	case KindLossBurst:
 		inj.net.SetLossFrac(ev.LossFrac)
-		inj.sched.AfterKey(inj.timelineKey(), ev.Duration, func() { inj.net.ResetLossFrac() })
+		inj.sched.After(ev.Duration, func() { inj.net.ResetLossFrac() })
 	}
 	inj.applied = append(inj.applied, Applied{At: inj.sched.Now(), Event: ev, Note: note})
 	if inj.reg != nil {

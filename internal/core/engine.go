@@ -18,15 +18,6 @@ import (
 	"hammer/internal/workload"
 )
 
-// Shard keys for the engine's own timers on a sharded scheduler. The driver
-// node (block matching, polling) owns key 0; each simulated client machine
-// owns its own key, so client compute completions and injection pacing
-// spread across wheels. Keys only pick the wheel that holds a timer — never
-// its firing order — so these choices cannot affect results.
-const driverShardKey uint64 = 0
-
-func clientShardKey(i int) uint64 { return uint64(i) + 1 }
-
 // Engine drives one evaluation of one system under test.
 type Engine struct {
 	cfg   Config
@@ -101,14 +92,14 @@ func New(sched eventsim.Sched, bc chain.Blockchain, cfg Config) (*Engine, error)
 		gen:         gen,
 		signer:      signer,
 		lastHeights: make([]uint64, bc.Shards()),
-		driver:      basechain.NewComputeKey(sched, cfg.DriverCores, driverShardKey),
+		driver:      basechain.NewCompute(sched, cfg.DriverCores),
 	}
 	lanes := cfg.Threads
 	if lanes > cfg.ClientCores {
 		lanes = cfg.ClientCores
 	}
 	for i := 0; i < cfg.Clients; i++ {
-		e.clients = append(e.clients, basechain.NewComputeKey(sched, lanes, clientShardKey(i)))
+		e.clients = append(e.clients, basechain.NewCompute(sched, lanes))
 	}
 	// Context-switch penalty beyond the core count (Fig 10).
 	over := 0
@@ -428,10 +419,9 @@ func (e *Engine) scheduleInjections(txs []*chain.Transaction, startAt time.Durat
 			start: sliceStart,
 			gap:   gap,
 			seq:   e.sched.ReserveSeq(m),
-			key:   clientShardKey(idx % e.cfg.Clients),
 		}
 		si.fire = si.step
-		e.sched.AtKeySeq(si.key, sliceStart, si.seq, si.fire)
+		e.sched.AtSeq(sliceStart, si.seq, si.fire)
 		idx += m
 	}
 	e.injectionEnd = startAt + cs.Duration()
@@ -547,7 +537,7 @@ func (e *Engine) processRetries() {
 }
 
 func (e *Engine) startPolling() {
-	e.pollTicker = e.sched.EveryKey(driverShardKey, e.cfg.PollInterval, func() {
+	e.pollTicker = e.sched.Every(e.cfg.PollInterval, func() {
 		e.collectBlocks(e.processBlock)
 		if e.retrySupport != nil {
 			// Per-ID expiry supersedes the blanket scan: a record past its

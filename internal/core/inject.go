@@ -24,9 +24,6 @@ type sliceInjector struct {
 	gap   time.Duration
 	// seq is the reserved tie-break sequence of txs[0]; txs[j] owns seq+j.
 	seq uint64
-	// key pins the slice's pacing event to one scheduler shard (the client
-	// machine that receives the slice's first dispatch).
-	key uint64
 	// fire is bound once so rearming does not allocate a closure per event.
 	fire func()
 }
@@ -47,7 +44,7 @@ func (si *sliceInjector) step() {
 		}
 		at := si.start + time.Duration(si.next)*si.gap
 		if at > now {
-			e.sched.AtKeySeq(si.key, at, si.seq+uint64(si.next), si.fire)
+			e.sched.AtSeq(at, si.seq+uint64(si.next), si.fire)
 			return
 		}
 	}

@@ -44,25 +44,3 @@ func TestRealtimeNoDrift(t *testing.T) {
 		t.Fatalf("virtual clock %v vs absolute mapping %v: skew %v exceeds %v", virt, want, diff, maxSkew)
 	}
 }
-
-// TestRealtimeSharded exercises the pacing loop over the sharded engine,
-// which shares the Sched interface.
-func TestRealtimeSharded(t *testing.T) {
-	s := NewSharded(4)
-	count := 0
-	s.EveryKey(3, 10*time.Millisecond, func() { count++ })
-	rt := NewRealtime(s, 100)
-	rt.Start()
-	defer rt.Stop()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		var n int
-		rt.Do(func() { n = count })
-		if n >= 20 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("realtime driver advanced only %d ticks in 2s at 100x", count)
-}

@@ -2,35 +2,23 @@ package eventsim
 
 import "time"
 
-// Sched is the scheduling surface shared by the single timer wheel
-// (Scheduler) and the sharded engine (ShardedScheduler). Engine, chain and
-// network code program against this interface so a simulation can swap
-// between the two without touching call sites.
-//
-// The Key variants carry a stable shard key. On the single wheel the key is
-// ignored; on the sharded engine it selects which wheel holds the timer.
-// Keys never influence dispatch order — events fire strictly by
-// (virtual time, sequence) on both implementations — so the same program
-// produces byte-identical results at any shard count. The contract for key
-// choice is locality, not correctness: timers touching the same node or
-// chain shard should share a key so their wheel work lands on one shard.
+// Sched is the scheduling surface engine, chain and network code program
+// against. Scheduler, the timer wheel, is its one implementation; the
+// benchmark's tracing decorator wraps a *Scheduler and implements Sched so it
+// can time every callback without touching call sites.
 type Sched interface {
 	// Now reports the current virtual time.
 	Now() time.Duration
-	// At schedules fn at absolute virtual time t; AtKey routes it by key.
+	// At schedules fn at absolute virtual time t.
 	At(t time.Duration, fn func()) Timer
-	AtKey(key uint64, t time.Duration, fn func()) Timer
 	// After schedules fn d after now (negative d clamps to zero).
 	After(d time.Duration, fn func()) Timer
-	AfterKey(key uint64, d time.Duration, fn func()) Timer
 	// ReserveSeq reserves n consecutive tie-break sequence numbers; AtSeq
-	// and AtKeySeq attach events to reserved numbers later.
+	// attaches events to reserved numbers later.
 	ReserveSeq(n int) uint64
 	AtSeq(t time.Duration, seq uint64, fn func()) Timer
-	AtKeySeq(key uint64, t time.Duration, seq uint64, fn func()) Timer
 	// Every fires fn at a fixed interval until the ticker is stopped.
 	Every(interval time.Duration, fn func()) *Ticker
-	EveryKey(key uint64, interval time.Duration, fn func()) *Ticker
 	// Len counts pending events; NextAt peeks the earliest one.
 	Len() int
 	NextAt() (time.Duration, bool)
@@ -42,18 +30,4 @@ type Sched interface {
 	Stop()
 }
 
-var (
-	_ Sched = (*Scheduler)(nil)
-	_ Sched = (*ShardedScheduler)(nil)
-)
-
-// Key hashes a stable identifier (node name, shard label) into a shard key
-// with FNV-1a. Chain simulators use it to pin a node's timers to one shard.
-func Key(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
+var _ Sched = (*Scheduler)(nil)

@@ -11,13 +11,6 @@
 // approaches them, and fired or cancelled event structs are recycled through
 // a freelist so steady-state scheduling does not allocate. See DESIGN.md
 // ("Scheduler internals") for the layout and the determinism argument.
-//
-// Two implementations share the Sched interface: Scheduler is the single
-// timer wheel, and ShardedScheduler partitions timers across N wheels by a
-// caller-supplied stable key, advancing the wheels in lock-step epochs on the
-// shared worker pool while dispatching callbacks in one merged, deterministic
-// (time, sequence) order. DESIGN.md ("Sharded scheduler") has the epoch and
-// determinism argument.
 package eventsim
 
 import (
@@ -98,18 +91,6 @@ func (s *Scheduler) After(d time.Duration, fn func()) Timer {
 	return s.At(s.now+d, fn)
 }
 
-// AtKey is At with a shard key. The single wheel ignores keys; the variant
-// exists so code written against Sched behaves identically here and on the
-// sharded engine.
-func (s *Scheduler) AtKey(_ uint64, t time.Duration, fn func()) Timer {
-	return s.At(t, fn)
-}
-
-// AfterKey is After with a shard key (ignored by the single wheel).
-func (s *Scheduler) AfterKey(_ uint64, d time.Duration, fn func()) Timer {
-	return s.After(d, fn)
-}
-
 // ReserveSeq reserves n consecutive tie-break sequence numbers and returns
 // the first. Same-instant events fire in sequence order, so a caller that
 // wants to schedule events lazily — yet have them fire exactly as if they
@@ -137,11 +118,6 @@ func (s *Scheduler) AtSeq(t time.Duration, seq uint64, fn func()) Timer {
 	return s.schedule(t, seq, fn)
 }
 
-// AtKeySeq is AtSeq with a shard key (ignored by the single wheel).
-func (s *Scheduler) AtKeySeq(_ uint64, t time.Duration, seq uint64, fn func()) Timer {
-	return s.AtSeq(t, seq, fn)
-}
-
 func (s *Scheduler) schedule(t time.Duration, seq uint64, fn func()) Timer {
 	if fn == nil {
 		panic("eventsim: At called with nil function")
@@ -158,23 +134,15 @@ func (s *Scheduler) schedule(t time.Duration, seq uint64, fn func()) Timer {
 	return Timer{s: s, ev: ev, gen: ev.gen}
 }
 
-// cancel removes a live event from whichever structure holds it. An event
-// parked in a sharded handoff queue is tombstoned (the queue is compacted at
-// the next epoch barrier); everything else is removed eagerly.
+// cancel removes a live event from whichever structure holds it.
 func (s *Scheduler) cancel(ev *event) {
 	s.live--
-	if ev.loc == locHandoff {
-		ev.cancelled = true
-		return
-	}
 	s.wheel.remove(ev)
 }
 
 // Ticker repeatedly fires fn at a fixed virtual interval until stopped.
 type Ticker struct {
-	// after rearms the ticker on whichever scheduler (and shard key)
-	// created it.
-	after    func(time.Duration, func()) Timer
+	s        *Scheduler
 	interval time.Duration
 	fn       func()
 	// fire is the single rearming closure, bound once so steady-state
@@ -184,35 +152,24 @@ type Ticker struct {
 	stopped bool
 }
 
-// newTicker builds a ticker over any rearm function, shared by the single
-// wheel and the sharded engine.
-func newTicker(after func(time.Duration, func()) Timer, interval time.Duration, fn func()) *Ticker {
+// Every schedules fn to run every interval, with the first firing one
+// interval from now. It panics if interval is not positive.
+func (s *Scheduler) Every(interval time.Duration, fn func()) *Ticker {
 	if interval <= 0 {
 		panic(fmt.Sprintf("eventsim: Every called with non-positive interval %v", interval))
 	}
-	t := &Ticker{after: after, interval: interval, fn: fn}
+	t := &Ticker{s: s, interval: interval, fn: fn}
 	t.fire = func() {
 		if t.stopped {
 			return
 		}
 		t.fn()
 		if !t.stopped {
-			t.timer = t.after(t.interval, t.fire)
+			t.timer = t.s.After(t.interval, t.fire)
 		}
 	}
-	t.timer = after(interval, t.fire)
+	t.timer = s.After(interval, t.fire)
 	return t
-}
-
-// Every schedules fn to run every interval, with the first firing one
-// interval from now. It panics if interval is not positive.
-func (s *Scheduler) Every(interval time.Duration, fn func()) *Ticker {
-	return newTicker(s.After, interval, fn)
-}
-
-// EveryKey is Every with a shard key (ignored by the single wheel).
-func (s *Scheduler) EveryKey(_ uint64, interval time.Duration, fn func()) *Ticker {
-	return s.Every(interval, fn)
 }
 
 // Stop cancels future firings. It is safe to call from within the ticker's
@@ -291,4 +248,25 @@ func (s *Scheduler) RunUntil(deadline time.Duration) {
 // Stop aborts a Run or RunUntil loop after the current event returns.
 func (s *Scheduler) Stop() {
 	s.stopped = true
+}
+
+// AtKey forwards to At and ignores the key. It is not part of Sched: the
+// benchmark's tracing decorator is its only caller, and a later change to the
+// benchmark removes it. Product code must not call it.
+func (s *Scheduler) AtKey(_ uint64, t time.Duration, fn func()) Timer { return s.At(t, fn) }
+
+// AfterKey forwards to After and ignores the key. Like AtKey, it exists only
+// for the benchmark's tracing decorator until a later benchmark change.
+func (s *Scheduler) AfterKey(_ uint64, d time.Duration, fn func()) Timer { return s.After(d, fn) }
+
+// AtKeySeq forwards to AtSeq and ignores the key. Like AtKey, it exists only
+// for the benchmark's tracing decorator until a later benchmark change.
+func (s *Scheduler) AtKeySeq(_ uint64, t time.Duration, seq uint64, fn func()) Timer {
+	return s.AtSeq(t, seq, fn)
+}
+
+// EveryKey forwards to Every and ignores the key. Like AtKey, it exists only
+// for the benchmark's tracing decorator until a later benchmark change.
+func (s *Scheduler) EveryKey(_ uint64, interval time.Duration, fn func()) *Ticker {
+	return s.Every(interval, fn)
 }

@@ -25,9 +25,6 @@ const (
 	locSlot
 	locOverflow
 	locDrain
-	// locHandoff marks an event parked in a sharded-scheduler handoff
-	// queue, waiting for the next epoch barrier to file it into its wheel.
-	locHandoff
 )
 
 type event struct {

@@ -76,7 +76,7 @@ func BlockbenchRuns(opts Options) []harness.Run[BlockbenchResult] {
 				Name: fmt.Sprintf("blockbench/%s/%s", wl, backend),
 				Seed: opts.Seed,
 				Build: func(seed int64) (eventsim.Sched, chain.Blockchain, core.Config, error) {
-					sched := opts.NewSched()
+					sched := eventsim.New()
 					ccfg := neuchain.DefaultConfig()
 					if backend == "paged" {
 						ccfg.State = rt.Factory(opts.StateDir, opts.StateCacheMB, 4*opts.Accounts)

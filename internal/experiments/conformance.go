@@ -16,7 +16,6 @@ import (
 	"hammer/internal/eventsim"
 	"hammer/internal/harness"
 	"hammer/internal/invariant"
-	"hammer/internal/parallel"
 	"hammer/internal/smallbank"
 	"hammer/internal/workload"
 )
@@ -296,7 +295,7 @@ func conformanceRuns(opts Options) []harness.Run[conformanceRun] {
 				Name: fmt.Sprintf("conformance/%s/run%d", setup.name, rep),
 				Seed: opts.Seed,
 				Build: func(seed int64) (eventsim.Sched, chain.Blockchain, core.Config, error) {
-					sched := opts.NewSched()
+					sched := eventsim.New()
 					bc := setup.build(sched, opts)
 					cfg := core.DefaultConfig()
 					cfg.Seed = seed
@@ -441,21 +440,13 @@ func Conformance(ctx context.Context, opts Options) ([]ConformanceResult, error)
 		out = append(out, wrk)
 
 		// scheduler: the differential replay oracle on a chain-shaped
-		// program — wheel vs heap vs sharded engine, swept across pool
-		// worker counts because the sharded barrier runs on the pool.
+		// program — timer wheel vs binary-heap reference.
 		sch := ConformanceResult{Chain: setup.name, Suite: "scheduler", Pass: true,
-			Detail: fmt.Sprintf("wheel, heap and sharded engines match event-for-event at workers=%v", workerCounts)}
-		func() {
-			defer parallel.SetWorkers(parallel.Workers())
-			for _, wc := range workerCounts {
-				parallel.SetWorkers(wc)
-				if err := invariant.DiffSchedulers(setup.program(opts.Seed)); err != nil {
-					sch.Pass = false
-					sch.Detail = fmt.Sprintf("workers=%d: %v", wc, err)
-					return
-				}
-			}
-		}()
+			Detail: "wheel and heap schedulers match event-for-event"}
+		if err := invariant.DiffSchedulers(setup.program(opts.Seed)); err != nil {
+			sch.Pass = false
+			sch.Detail = err.Error()
+		}
 		out = append(out, sch)
 	}
 	return out, nil

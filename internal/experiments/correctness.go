@@ -43,7 +43,7 @@ func Correctness(ctx context.Context, opts Options) (*CorrectnessResult, error) 
 		Name: "correctness/fabric",
 		Seed: opts.Seed,
 		Build: func(seed int64) (eventsim.Sched, chain.Blockchain, core.Config, error) {
-			sched := opts.NewSched()
+			sched := eventsim.New()
 			fcfg := fabric.DefaultConfig()
 			// The paper's Fabric deployment sustains the full 600 TPS;
 			// configure the validator accordingly so all 100k transactions

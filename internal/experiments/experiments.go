@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"time"
 
-	"hammer/internal/eventsim"
 	"hammer/internal/harness"
 )
 
@@ -49,10 +48,6 @@ type Options struct {
 	// Workers bounds how many runs a sweep executes concurrently;
 	// 0 means one worker per core (runtime.GOMAXPROCS(0)).
 	Workers int
-	// SchedShards selects the event engine each simulation runs on: 0 (the
-	// default) is the single timer wheel, n >= 1 is the sharded engine with
-	// n wheels. Results are byte-identical either way.
-	SchedShards int
 	// StateBackend selects the world-state engine every SUT run mounts:
 	// "" or "mem" is the in-RAM map, "paged" the disk-backed paged store
 	// (internal/store/pagedstate). Results are byte-identical either way —
@@ -72,16 +67,6 @@ type Options struct {
 	// OnProgress, when set, observes every harness run completion — the
 	// CLIs wire it to live progress lines and monitor counters.
 	OnProgress func(harness.Progress)
-}
-
-// NewSched builds the scheduler each simulation runs on, honouring
-// SchedShards. Every runner's Build closure goes through this so a sharded
-// sweep exercises identical code paths.
-func (o *Options) NewSched() eventsim.Sched {
-	if o.SchedShards >= 1 {
-		return eventsim.NewSharded(o.SchedShards)
-	}
-	return eventsim.New()
 }
 
 // harnessOptions translates the sweep knobs into harness options.

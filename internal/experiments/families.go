@@ -324,7 +324,7 @@ func FamiliesRuns(opts Options) []harness.Run[FamilyResult] {
 				Name: fmt.Sprintf("families/%s-%d/%s", setup.family, setup.size, sc.name),
 				Seed: opts.Seed,
 				Build: func(seed int64) (eventsim.Sched, chain.Blockchain, core.Config, error) {
-					sched := opts.NewSched()
+					sched := eventsim.New()
 					bc := setup.build(sched, opts)
 					cfg := core.DefaultConfig()
 					cfg.Seed = seed

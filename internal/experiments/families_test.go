@@ -82,19 +82,6 @@ func TestFamiliesParallelIdentityGolden(t *testing.T) {
 	checkGolden(t, "families_quick_serial.golden.csv", renderCSV(t, header, csvRows))
 }
 
-// TestFamiliesShardedSchedulerGolden pins the same bytes on the 4-shard
-// event engine.
-func TestFamiliesShardedSchedulerGolden(t *testing.T) {
-	opts := goldenOpts()
-	opts.SchedShards = 4
-	rows, err := Families(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	header, csvRows := FamiliesCSV(rows)
-	checkGolden(t, "families_quick_serial.golden.csv", renderCSV(t, header, csvRows))
-}
-
 // TestFamilyFaultsPreserveInvariants reruns the family sweep's crash and
 // N-way-partition scenarios with the invariant recorder attached: a leader
 // crash mid-round or a relay-severing partition must never produce a hash

@@ -240,7 +240,7 @@ func FaultsRuns(opts Options) []harness.Run[FaultsResult] {
 				Name: "faults/" + setup.name + "/" + sc.name,
 				Seed: opts.Seed,
 				Build: func(seed int64) (eventsim.Sched, chain.Blockchain, core.Config, error) {
-					sched := opts.NewSched()
+					sched := eventsim.New()
 					bc := setup.build(sched, opts)
 					reg = monitor.NewRegistry()
 					cfg := core.DefaultConfig()

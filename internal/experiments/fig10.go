@@ -39,7 +39,7 @@ func fig10Run(sweep string, clients, threads int, offeredPerClient float64, opts
 		Name: fmt.Sprintf("fig10/%s clients=%d threads=%d", sweep, clients, threads),
 		Seed: opts.Seed,
 		Build: func(seed int64) (eventsim.Sched, chain.Blockchain, core.Config, error) {
-			sched := opts.NewSched()
+			sched := eventsim.New()
 			fcfg := fabric.DefaultConfig()
 			// A deep admission queue lets backlog (and with it MVCC conflict
 			// windows) grow with offered load, which is what produces the

@@ -129,7 +129,7 @@ func Fig6Runs(opts Options) []harness.Run[ChainResult] {
 			Name: "fig6/" + setup.name,
 			Seed: opts.Seed,
 			Build: func(seed int64) (eventsim.Sched, chain.Blockchain, core.Config, error) {
-				sched := opts.NewSched()
+				sched := eventsim.New()
 				bc := setup.build(sched)
 				cfg := core.DefaultConfig()
 				cfg.Seed = seed

@@ -83,7 +83,7 @@ func frameworkRun(chainName, framework string, opts Options) harness.Run[Framewo
 			if err != nil {
 				return nil, nil, core.Config{}, err
 			}
-			sched := opts.NewSched()
+			sched := eventsim.New()
 			var bc chain.Blockchain
 			cfg := core.DefaultConfig()
 			cfg.Seed = seed
@@ -161,7 +161,7 @@ func PollIntervalRun(ctx context.Context, poll time.Duration, opts Options) (tim
 		Name: fmt.Sprintf("fig7/poll=%v", poll),
 		Seed: opts.Seed,
 		Build: func(seed int64) (eventsim.Sched, chain.Blockchain, core.Config, error) {
-			sched := opts.NewSched()
+			sched := eventsim.New()
 			fcfg := fabric.DefaultConfig()
 			fcfg.PendingCap = 300
 			bc := fabric.New(sched, fcfg)

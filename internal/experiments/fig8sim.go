@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hammer/internal/chains/basechain"
+	"hammer/internal/eventsim"
 	"hammer/internal/sign"
 	"hammer/internal/workload"
 )
@@ -80,7 +81,7 @@ func Fig8Simulated(opts Options, workers int, execRate float64) ([]Fig8SimResult
 	const dispatchOverhead = 8 * time.Microsecond
 
 	run := func(strategy string) time.Duration {
-		sched := opts.NewSched()
+		sched := eventsim.New()
 		var pool *basechain.Compute
 		switch strategy {
 		case "serial":

@@ -63,28 +63,3 @@ func TestFig7QuickSerialGolden(t *testing.T) {
 	header, csvRows := Fig7CSV(rows)
 	checkGolden(t, "fig7_quick_serial.golden.csv", renderCSV(t, header, csvRows))
 }
-
-// TestFig6ShardedSchedulerGolden pins the sharded engine's byte-identity
-// promise at the experiment level: the same golden CSV must come out when
-// every simulation runs on a 4-shard scheduler.
-func TestFig6ShardedSchedulerGolden(t *testing.T) {
-	opts := goldenOpts()
-	opts.SchedShards = 4
-	rows, err := Fig6(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	header, csvRows := Fig6CSV(rows)
-	checkGolden(t, "fig6_quick_serial.golden.csv", renderCSV(t, header, csvRows))
-}
-
-func TestFig7ShardedSchedulerGolden(t *testing.T) {
-	opts := goldenOpts()
-	opts.SchedShards = 4
-	rows, err := Fig7(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	header, csvRows := Fig7CSV(rows)
-	checkGolden(t, "fig7_quick_serial.golden.csv", renderCSV(t, header, csvRows))
-}

@@ -166,7 +166,7 @@ func LoadPlaneDriveRuns(opts Options) ([]harness.Run[LoadPlaneDriveRow], error) 
 			Name: "loadplane/drive-" + d.name,
 			Seed: opts.Seed,
 			Build: func(seed int64) (eventsim.Sched, chain.Blockchain, core.Config, error) {
-				sched := opts.NewSched()
+				sched := eventsim.New()
 				fcfg := fabric.DefaultConfig()
 				fcfg.PendingCap = 300
 				bc := fabric.New(sched, fcfg)

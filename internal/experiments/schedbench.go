@@ -6,20 +6,14 @@ import (
 
 	"hammer/internal/eventsim"
 	"hammer/internal/eventsim/heapsched"
-	"hammer/internal/parallel"
 	"hammer/internal/perf"
 )
 
 // SchedBenchRow is one configuration of the scheduler microbenchmark: the
 // same deterministic event workload run on the original binary-heap
-// scheduler (heapsched), the timer-wheel scheduler (eventsim), and the
-// sharded epoch-merge engine at a sweep of shard and pool-worker counts.
+// scheduler (heapsched) or the timer-wheel scheduler (eventsim).
 type SchedBenchRow struct {
-	Impl string
-	// Shards and Workers are set on sharded rows (0 otherwise): the wheel
-	// count and the parallel-pool worker count the barrier phase ran with.
-	Shards         int
-	Workers        int
+	Impl           string
 	Events         int
 	Wall           time.Duration
 	Allocs         uint64
@@ -30,15 +24,7 @@ type SchedBenchRow struct {
 
 func (r SchedBenchRow) String() string {
 	return fmt.Sprintf("%-16s %9d events in %8v  %11.0f events/s  %6.2f allocs/event",
-		r.label(), r.Events, r.Wall.Round(time.Millisecond), r.EventsPerSec, r.AllocsPerEvent)
-}
-
-// label renders the row's configuration for charts and trajectory samples.
-func (r SchedBenchRow) label() string {
-	if r.Shards > 0 {
-		return fmt.Sprintf("%s/s=%d,w=%d", r.Impl, r.Shards, r.Workers)
-	}
-	return r.Impl
+		r.Impl, r.Events, r.Wall.Round(time.Millisecond), r.EventsPerSec, r.AllocsPerEvent)
 }
 
 // schedBenchResident is the steady-state pending-event population: large
@@ -69,108 +55,75 @@ func schedDelay(rng *uint64, n int) time.Duration {
 }
 
 // runSchedWorkload drives one scheduler through total events: resident
-// self-rescheduling timer chains, each carrying a stable shard key (its
-// chain index, so the sharded engine spreads chains across wheels), plus a
-// cancellation every 16th fire (schedule a far timer, stop it immediately)
-// so Stop cost is part of the measurement. Keys never change firing order,
-// so every implementation consumes the same delay stream.
-func runSchedWorkload(after func(uint64, time.Duration, func()), stopLast func(), run func(), resident, total int) int {
+// self-rescheduling timer chains plus a cancellation every 16th fire
+// (schedule a far timer, stop it immediately) so Stop cost is part of the
+// measurement. Every implementation consumes the same delay stream.
+func runSchedWorkload(after func(time.Duration, func()), stopLast func(), run func(), resident, total int) int {
 	fired := 0
 	scheduled := 0
 	var rng uint64 = 0x9E3779B97F4A7C15
-	spawn := func(key uint64) {
+	spawn := func() {
 		var fn func()
 		fn = func() {
 			fired++
 			if fired%16 == 0 {
-				after(key, 500*time.Millisecond, func() {})
+				after(500*time.Millisecond, func() {})
 				stopLast()
 			}
 			if scheduled < total {
 				n := scheduled
 				scheduled++
-				after(key, schedDelay(&rng, n), fn)
+				after(schedDelay(&rng, n), fn)
 			}
 		}
 		n := scheduled
 		scheduled++
-		after(key, schedDelay(&rng, n), fn)
+		after(schedDelay(&rng, n), fn)
 	}
 	if resident > total {
 		resident = total
 	}
 	for i := 0; i < resident; i++ {
-		spawn(uint64(i))
+		spawn()
 	}
 	run()
 	return fired
 }
 
-// schedBenchShardCounts is the default shard sweep when the caller does not
-// pin one, and schedBenchWorkerCounts the pool sizes each shard count runs
-// with (the sharded barrier executes on the parallel pool).
-var (
-	schedBenchShardCounts  = []int{1, 4}
-	schedBenchWorkerCounts = []int{1, 4}
-)
-
 // SchedBench runs the microbenchmark at the given event count and returns
-// one row per configuration: heap, wheel, then the sharded engine across
-// the shard × pool-worker sweep. shards >= 1 pins the sharded rows to that
-// single shard count; shards <= 0 uses the default sweep. Every row must
-// fire the same number of events — a mismatch is a determinism bug and
-// fails the benchmark.
-func SchedBench(events, shards int) ([]SchedBenchRow, error) {
+// one row per scheduler: heap, then wheel. Both rows must fire the same
+// number of events — a mismatch is a determinism bug and fails the
+// benchmark.
+func SchedBench(events int) ([]SchedBenchRow, error) {
 	if events < 1 {
 		return nil, fmt.Errorf("schedbench: event count must be positive, got %d", events)
 	}
-	type config struct {
-		impl            string
-		shards, workers int
-		build           func() (func(uint64, time.Duration, func()), func(), func())
-	}
-	heapRun := func() (func(uint64, time.Duration, func()), func(), func()) {
+	heapRun := func() (func(time.Duration, func()), func(), func()) {
 		s := heapsched.New()
 		var last *heapsched.Timer
-		after := func(_ uint64, d time.Duration, fn func()) { last = s.After(d, fn) }
+		after := func(d time.Duration, fn func()) { last = s.After(d, fn) }
 		return after, func() { last.Stop() }, s.Run
 	}
-	schedRun := func(s eventsim.Sched) (func(uint64, time.Duration, func()), func(), func()) {
+	wheelRun := func() (func(time.Duration, func()), func(), func()) {
+		s := eventsim.New()
 		var last eventsim.Timer
-		after := func(key uint64, d time.Duration, fn func()) { last = s.AfterKey(key, d, fn) }
+		after := func(d time.Duration, fn func()) { last = s.After(d, fn) }
 		return after, func() { last.Stop() }, s.Run
 	}
-
-	configs := []config{
-		{impl: "heap", build: heapRun},
-		{impl: "wheel", build: func() (func(uint64, time.Duration, func()), func(), func()) { return schedRun(eventsim.New()) }},
-	}
-	shardCounts := schedBenchShardCounts
-	if shards >= 1 {
-		shardCounts = []int{shards}
-	}
-	for _, sc := range shardCounts {
-		for _, wc := range schedBenchWorkerCounts {
-			sc, wc := sc, wc
-			configs = append(configs, config{
-				impl: "sharded", shards: sc, workers: wc,
-				build: func() (func(uint64, time.Duration, func()), func(), func()) {
-					return schedRun(eventsim.NewSharded(sc))
-				},
-			})
-		}
+	configs := []struct {
+		impl  string
+		build func() (func(time.Duration, func()), func(), func())
+	}{
+		{"heap", heapRun},
+		{"wheel", wheelRun},
 	}
 
-	defer parallel.SetWorkers(parallel.Workers())
 	var rows []SchedBenchRow
 	for _, cfg := range configs {
-		if cfg.workers > 0 {
-			parallel.SetWorkers(cfg.workers)
-		}
 		var fired int
 		after, stopLast, run := cfg.build()
-		row := SchedBenchRow{Impl: cfg.impl, Shards: cfg.shards, Workers: cfg.workers}
-		sample, err := perf.Measure(row.label(), func() error {
+		row := SchedBenchRow{Impl: cfg.impl}
+		sample, err := perf.Measure(row.Impl, func() error {
 			fired = runSchedWorkload(after, stopLast, run, schedBenchResident, events)
 			return nil
 		})
@@ -178,11 +131,11 @@ func SchedBench(events, shards int) ([]SchedBenchRow, error) {
 			return nil, err
 		}
 		if fired == 0 {
-			return nil, fmt.Errorf("schedbench: %s fired no events", row.label())
+			return nil, fmt.Errorf("schedbench: %s fired no events", row.Impl)
 		}
 		if len(rows) > 0 && fired != rows[0].Events {
 			return nil, fmt.Errorf("schedbench: %s fired %d events, %s fired %d — schedulers diverged",
-				row.label(), fired, rows[0].label(), rows[0].Events)
+				row.Impl, fired, rows[0].Impl, rows[0].Events)
 		}
 		row.Events = fired
 		row.Wall = time.Duration(sample.WallSeconds * float64(time.Second))
@@ -197,13 +150,11 @@ func SchedBench(events, shards int) ([]SchedBenchRow, error) {
 
 // SchedBenchCSV renders the rows for export.
 func SchedBenchCSV(rows []SchedBenchRow) ([]string, [][]string) {
-	header := []string{"impl", "shards", "workers", "events", "wall_ms", "events_per_sec", "allocs", "allocs_per_event"}
+	header := []string{"impl", "events", "wall_ms", "events_per_sec", "allocs", "allocs_per_event"}
 	var out [][]string
 	for _, r := range rows {
 		out = append(out, []string{
 			r.Impl,
-			fmt.Sprintf("%d", r.Shards),
-			fmt.Sprintf("%d", r.Workers),
 			fmt.Sprintf("%d", r.Events),
 			fmt.Sprintf("%.1f", float64(r.Wall)/float64(time.Millisecond)),
 			fmt.Sprintf("%.0f", r.EventsPerSec),

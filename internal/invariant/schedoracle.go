@@ -31,13 +31,6 @@ type Program struct {
 	ExecCost time.Duration
 	// PollEvery is the observer ticker interval.
 	PollEvery time.Duration
-	// Keys is the number of distinct shard keys the program spreads its
-	// timers across (0 behaves as 1). Keys route timers to wheels on the
-	// sharded backend and are ignored by the others, so any value must
-	// leave the event log unchanged.
-	Keys int
-	// Shards is the wheel count for the sharded backend (0 picks 4).
-	Shards int
 }
 
 // DefaultProgram returns a program shaped like the quick experiments: ~1k
@@ -53,41 +46,30 @@ func DefaultProgram(seed int64) Program {
 		BatchTimeout: 45 * time.Millisecond,
 		ExecCost:     11 * time.Millisecond,
 		PollEvery:    100 * time.Millisecond,
-		Keys:         5,
-		Shards:       4,
 	}
 }
 
-// schedBackend is the least common denominator of the scheduler
-// implementations the oracle drives. afterKey carries a shard key: the
-// wheel and heap backends ignore it, the sharded backend routes by it, and
-// the logs must match regardless.
+// schedBackend is the least common denominator of the two scheduler
+// implementations the oracle drives.
 type schedBackend interface {
 	now() time.Duration
 	after(d time.Duration, fn func()) (stop func() bool)
-	afterKey(key uint64, d time.Duration, fn func()) (stop func() bool)
 	every(d time.Duration, fn func()) (stop func())
 	runUntil(t time.Duration)
 }
 
-// schedInterfaceBackend adapts anything implementing eventsim.Sched — the
-// timer wheel and the sharded engine alike.
-type schedInterfaceBackend struct{ s eventsim.Sched }
+type wheelBackend struct{ s *eventsim.Scheduler }
 
-func (w schedInterfaceBackend) now() time.Duration { return w.s.Now() }
-func (w schedInterfaceBackend) after(d time.Duration, fn func()) func() bool {
+func (w wheelBackend) now() time.Duration { return w.s.Now() }
+func (w wheelBackend) after(d time.Duration, fn func()) func() bool {
 	t := w.s.After(d, fn)
 	return t.Stop
 }
-func (w schedInterfaceBackend) afterKey(key uint64, d time.Duration, fn func()) func() bool {
-	t := w.s.AfterKey(key, d, fn)
-	return t.Stop
-}
-func (w schedInterfaceBackend) every(d time.Duration, fn func()) func() {
+func (w wheelBackend) every(d time.Duration, fn func()) func() {
 	t := w.s.Every(d, fn)
 	return t.Stop
 }
-func (w schedInterfaceBackend) runUntil(t time.Duration) { w.s.RunUntil(t) }
+func (w wheelBackend) runUntil(t time.Duration) { w.s.RunUntil(t) }
 
 type heapBackend struct{ s *heapsched.Scheduler }
 
@@ -95,9 +77,6 @@ func (h heapBackend) now() time.Duration { return h.s.Now() }
 func (h heapBackend) after(d time.Duration, fn func()) func() bool {
 	t := h.s.After(d, fn)
 	return t.Stop
-}
-func (h heapBackend) afterKey(_ uint64, d time.Duration, fn func()) func() bool {
-	return h.after(d, fn)
 }
 func (h heapBackend) every(d time.Duration, fn func()) func() {
 	t := h.s.Every(d, fn)
@@ -110,17 +89,6 @@ func (h heapBackend) runUntil(t time.Duration) { h.s.RunUntil(t) }
 // virtual timestamps and contents a divergent scheduler would get wrong.
 func runProgram(b schedBackend, p Program) []string {
 	rng := randx.New(p.Seed)
-	keys := p.Keys
-	if keys < 1 {
-		keys = 1
-	}
-	// Rotate arms across the key space deterministically so every backend
-	// draws the same key sequence; only the sharded backend acts on it.
-	var keyCtr uint64
-	nextKey := func() uint64 {
-		keyCtr++
-		return keyCtr % uint64(keys)
-	}
 	var (
 		log        []string
 		queue      []int
@@ -148,7 +116,7 @@ func runProgram(b schedBackend, p Program) []string {
 		}
 		batch := queue
 		queue = nil
-		b.afterKey(nextKey(), rng.Jitter(p.ExecCost, p.JitterFrac), func() { commit(batch) })
+		b.after(rng.Jitter(p.ExecCost, p.JitterFrac), func() { commit(batch) })
 	}
 	var inject func()
 	inject = func() {
@@ -158,13 +126,13 @@ func runProgram(b schedBackend, p Program) []string {
 			cut()
 		} else if !cutPending {
 			cutPending = true
-			cancelCut = b.afterKey(nextKey(), p.BatchTimeout, func() {
+			cancelCut = b.after(p.BatchTimeout, func() {
 				cutPending = false
 				cut()
 			})
 		}
 		if b.now() < p.Duration-p.BatchTimeout {
-			b.afterKey(nextKey(), rng.Jitter(p.InjectEvery, p.JitterFrac), inject)
+			b.after(rng.Jitter(p.InjectEvery, p.JitterFrac), inject)
 		}
 	}
 	stopPoll := b.every(p.PollEvery, func() {
@@ -177,22 +145,13 @@ func runProgram(b schedBackend, p Program) []string {
 	return log
 }
 
-// DiffSchedulers runs the program on all three scheduler backends — timer
-// wheel, binary-heap reference, and the sharded epoch-merge engine — and
-// returns an error describing the first divergence between their event logs,
-// or nil when all three logs are byte-identical.
+// DiffSchedulers runs the program on the timer wheel and on the binary-heap
+// reference and returns an error describing the first divergence between
+// their event logs, or nil when the two logs are byte-identical.
 func DiffSchedulers(p Program) error {
-	shards := p.Shards
-	if shards < 1 {
-		shards = 4
-	}
-	wheel := runProgram(schedInterfaceBackend{s: eventsim.New()}, p)
+	wheel := runProgram(wheelBackend{s: eventsim.New()}, p)
 	ref := runProgram(heapBackend{s: heapsched.New()}, p)
-	sharded := runProgram(schedInterfaceBackend{s: eventsim.NewSharded(shards)}, p)
-	if err := diffLogs("wheel", wheel, "heap", ref); err != nil {
-		return err
-	}
-	return diffLogs("wheel", wheel, "sharded", sharded)
+	return diffLogs("wheel", wheel, "heap", ref)
 }
 
 // diffLogs reports the first line-level divergence between two event logs.

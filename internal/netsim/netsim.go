@@ -246,9 +246,7 @@ func (n *Network) Send(from, to string, size int, deliver func()) {
 	arrival := start + xmit + n.rng.Jitter(delay, n.cfg.JitterFrac) + lq.ExtraLatency
 	n.sent++
 	n.bytesSent += int64(size)
-	// Delivery is the receiver's event: key it by destination so a sharded
-	// scheduler keeps each node's inbound timers on one wheel.
-	n.sched.AtKey(eventsim.Key(to), arrival, deliver)
+	n.sched.At(arrival, deliver)
 }
 
 // Broadcast sends size bytes from one node to every other named node.

@@ -19,8 +19,8 @@
 //     activeCallers ≈ workers and degrades to serial instead of
 //     oversubscribing the machine.
 //
-// The pool is shared process-wide (see For/Do); eventsim replays, experiment
-// sweeps, and the internal/nn tensor kernels all draw from the same budget.
+// The pool is shared process-wide (see For/Do); every internal/nn tensor
+// kernel draws from the same budget, however many experiment runs call it.
 package parallel
 
 import (
