@@ -11,7 +11,6 @@ import (
 	"hammer/internal/experiments"
 	"hammer/internal/loadplane"
 	"hammer/internal/metrics"
-	"hammer/internal/perf"
 	"hammer/internal/viz"
 )
 
@@ -21,7 +20,6 @@ type lpFlags struct {
 	workers int    // partition count (and shard count when in-process)
 	clients int    // population for the single-spec modes; 0 = run the scale sweep
 	seconds int    // virtual duration of the single-spec modes
-	bench   bool   // measure injection rate and heap across populations × shard counts
 }
 
 // runLoadPlane runs one of three shapes, selected by the -lp-* flags:
@@ -34,101 +32,28 @@ type lpFlags struct {
 //     external hammer-worker processes and write the identically named CSV
 //     from the distributed merge. Byte-comparing the two files is the
 //     determinism check.
-func runLoadPlane(ctx context.Context, opts experiments.Options, outDir string, traj *perf.Trajectory, lp lpFlags) (float64, error) {
-	if lp.bench {
-		return 0, runLoadPlaneBench(ctx, opts, traj, lp)
-	}
+func runLoadPlane(ctx context.Context, opts experiments.Options, outDir string, lp lpFlags) error {
 	if lp.clients > 0 {
-		return 0, runLoadPlaneMerged(ctx, opts, outDir, lp)
+		return runLoadPlaneMerged(ctx, opts, outDir, lp)
 	}
-	return runLoadPlaneSweep(ctx, opts, outDir, traj)
-}
-
-// runLoadPlaneBench measures the sustained injection rate (arrivals
-// generated per wall-clock second) and the heap it takes, across client
-// populations and shard counts. One sample per configuration lands in the
-// -benchjson trajectory; the 1M-client rows demonstrate that open-loop
-// generation stays within the ~16 B/client fixed-layout bound instead of
-// growing a goroutine or timer per client.
-func runLoadPlaneBench(ctx context.Context, opts experiments.Options, traj *perf.Trajectory, lp lpFlags) error {
-	// Quick options carry a shrunken LoadClients sweep; skip the 1M tier
-	// there so CI smoke runs stay cheap while the default benches 100k/1M.
-	populations := []int{100_000, 1_000_000}
-	if max := maxInt(opts.LoadClients); max > 0 && max < 100_000 {
-		populations = []int{20_000, 100_000}
-	}
-	seconds := lp.seconds
-	if seconds <= 0 {
-		seconds = 10
-	}
-	for _, clients := range populations {
-		spec := experiments.LoadPlaneSpec(clients, opts.Seed, seconds)
-		for _, shards := range []int{1, 2, 4} {
-			var series []metrics.Window
-			sample, err := perf.Measure(fmt.Sprintf("loadplane/inject/c=%d,w=%d", clients, shards), func() error {
-				got, genErr := loadplane.InProcess(ctx, spec, shards)
-				series = got
-				return genErr
-			})
-			if err != nil {
-				return err
-			}
-			arrivals := metrics.SumArrivals(series)
-			sample.Events = int(arrivals)
-			if sample.WallSeconds > 0 {
-				sample.TPS = float64(arrivals) / sample.WallSeconds
-			}
-			var footprint int64
-			for _, rng := range loadplane.PartitionClients(clients, shards) {
-				footprint += loadplane.ShardFootprint(rng)
-			}
-			var mem runtime.MemStats
-			runtime.ReadMemStats(&mem)
-			sample.Note = fmt.Sprintf("virtual %ds, %d windows, heap_inuse_mb=%d, client_state_bound_mb=%d",
-				seconds, len(series), mem.HeapInuse>>20, footprint>>20)
-			fmt.Printf("%-32s %10d arrivals  %12.0f arrivals/s  heap %d MB (state bound %d MB)\n",
-				sample.Name, arrivals, sample.TPS, mem.HeapInuse>>20, footprint>>20)
-			if traj != nil {
-				traj.Add(sample)
-			}
-		}
-	}
-	return nil
-}
-
-// maxInt returns the largest element of xs, or 0 when empty.
-func maxInt(xs []int) int {
-	m := 0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
+	return runLoadPlaneSweep(ctx, opts, outDir)
 }
 
 // runLoadPlaneSweep prints and exports the scale comparison and the
 // driver demo.
-func runLoadPlaneSweep(ctx context.Context, opts experiments.Options, outDir string, traj *perf.Trajectory) (float64, error) {
+func runLoadPlaneSweep(ctx context.Context, opts experiments.Options, outDir string) error {
 	rows, err := experiments.LoadPlane(ctx, opts)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	for _, r := range rows {
 		fmt.Println(r)
-		if traj != nil && r.Mode == "open" {
-			traj.Add(perf.Sample{
-				Name:        fmt.Sprintf("loadplane/open/%d", r.Clients),
-				TPS:         float64(r.OfferedPerS),
-				WallSeconds: 0,
-			})
-		}
 	}
 	fmt.Println("open-loop exposes the drop rate and latency climb that closed-loop feedback hides")
 
 	driveRows, err := experiments.LoadPlaneDrive(ctx, opts)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	for _, r := range driveRows {
 		fmt.Println(r)
@@ -136,7 +61,7 @@ func runLoadPlaneSweep(ctx context.Context, opts experiments.Options, outDir str
 
 	header, csvRows := experiments.LoadPlaneCSV(rows)
 	driveHeader, driveCSV := experiments.LoadPlaneDriveCSV(driveRows)
-	return 0, viz.Export(os.Stdout, outDir,
+	return viz.Export(os.Stdout, outDir,
 		viz.Dataset{Name: "loadplane_scale.csv", Header: header, Rows: csvRows},
 		viz.Dataset{Name: "loadplane_drive.csv", Header: driveHeader, Rows: driveCSV})
 }

@@ -42,33 +42,23 @@ func main() {
 
 func run() error {
 	var (
-		exp        = flag.String("exp", "all", "experiment: fig1|fig6|fig7|fig8|fig9|fig10|correctness|distributed|all, plus faults, families, schedbench, conformance, loadplane, blockbench and storebench (explicit only); 'list' prints them all")
+		exp        = flag.String("exp", "all", "experiment: fig1|fig6|fig7|fig8|fig9|fig10|correctness|distributed|all, plus faults, families, conformance, loadplane and blockbench (explicit only); 'list' prints them all")
 		quick      = flag.Bool("quick", false, "shrink workloads for a fast smoke run")
 		outDir     = flag.String("out", "results", "directory for CSV export")
 		seed       = flag.Int64("seed", 7, "random seed")
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for experiment sweeps (results are identical at any value)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		benchjson  = flag.Bool("benchjson", false, "record per-experiment TPS/wall-clock/allocs into a numbered BENCH_<n>.json under -out")
-		events     = flag.Int("events", 1_000_000, "event count for -exp schedbench")
 		lpListen   = flag.String("lp-listen", "", "serve the load-plane coordinator at this address for external hammer-worker processes (-exp loadplane)")
 		lpWorkers  = flag.Int("lp-workers", 2, "load-plane partition count: expected worker processes with -lp-listen, in-process shards otherwise")
 		lpClients  = flag.Int("lp-clients", 0, "run the canonical load-plane spec at this population and write loadplane_merged.csv (0 = scale sweep)")
 		lpSeconds  = flag.Int("lp-seconds", 0, "virtual duration of the canonical load-plane spec (0 = the experiment default)")
-		lpBench    = flag.Bool("lp-bench", false, "measure load-plane injection rate and heap at 100k/1M clients across 1/2/4 shards (-exp loadplane)")
 		stateKind  = flag.String("state", "mem", "world-state backend every SUT run mounts: mem (in-RAM map) | paged (disk-backed paged store); results are byte-identical")
 		stateCache = flag.Int("state-cache-mb", 0, "page-cache budget per paged state instance in MiB (0 = store default, 64)")
 		stateDir   = flag.String("state-dir", "", "directory for paged-state files (default: OS temp); run files are removed afterwards")
-		stateSnap  = flag.String("state-snapshot", "", "storebench snapshot path: load the population from it when it exists, save it there otherwise (-exp storebench)")
-		sbAccounts = flag.Int("sb-accounts", 1_000_000, "paged-store population for -exp storebench")
-		sbOps      = flag.Int("sb-ops", 1_000_000, "operations per measured storebench phase")
-		sbBaseline = flag.Int("sb-baseline", 1_000_000, "in-RAM baseline population for -exp storebench (0 skips the baseline)")
 		crossRate  = flag.Float64("cross-rate", 0, "cross-shard transfer fraction for -exp families (0 = the 0.2 default)")
 	)
 	flag.Parse()
-	if *events < 1 {
-		return fmt.Errorf("-events must be positive, got %d", *events)
-	}
 	if err := experiments.ValidateStateBackend(*stateKind); err != nil {
 		return err
 	}
@@ -82,10 +72,6 @@ func run() error {
 			return err
 		}
 		defer stopProf()
-	}
-	var traj *perf.Trajectory
-	if *benchjson {
-		traj = perf.NewTrajectory("hammer-bench", os.Args[1:])
 	}
 
 	reg := monitor.NewRegistry()
@@ -104,114 +90,65 @@ func run() error {
 	opts.OnProgress = progressPrinter(reg)
 
 	selected := strings.Split(*exp, ",")
-	want := func(name string) bool {
+	// want matches a step asked for by name, or by "all" unless the step is
+	// explicit-only.
+	want := func(name string, explicit bool) bool {
 		for _, s := range selected {
-			if s == "all" || s == name {
+			if s == name || s == "all" && !explicit {
 				return true
 			}
 		}
 		return false
 	}
 
-	// wantOnly matches experiments that must be asked for by name —
-	// schedbench is a microbenchmark of the framework itself, not a paper
-	// figure, so "all" does not include it.
-	wantOnly := func(name string) bool {
-		for _, s := range selected {
-			if s == name {
-				return true
-			}
-		}
-		return false
-	}
-
-	ran := 0
-	// Each step returns its headline throughput (0 when it has none) so the
-	// -benchjson trajectory can track TPS alongside wall-clock and allocs.
 	type step struct {
 		name string
-		fn   func() (float64, error)
+		// explicit marks a step that is not a paper figure, so "all" does
+		// not include it: faults and families are resilience studies,
+		// conformance a correctness suite, loadplane and blockbench
+		// framework-scale workloads.
+		explicit bool
+		fn       func() error
 	}
 	steps := []step{
-		{"fig1", func() (float64, error) { return 0, runFig1(opts, *outDir) }},
-		{"fig6", func() (float64, error) { return runFig6(ctx, opts, *outDir) }},
-		{"fig7", func() (float64, error) { return runFig7(ctx, opts, *outDir) }},
-		{"fig8", func() (float64, error) { return 0, runFig8(opts, *outDir) }},
-		{"fig9", func() (float64, error) { return 0, runFig9(opts, *outDir) }},
-		{"fig10", func() (float64, error) { return runFig10(ctx, opts, *outDir) }},
-		{"correctness", func() (float64, error) { return 0, runCorrectness(ctx, opts) }},
-		{"distributed", func() (float64, error) { return 0, runDistributed(ctx, opts, *outDir) }},
-	}
-	// Experiments that must be asked for by name: faults is a resilience
-	// study, schedbench a microbenchmark of the framework itself — neither
-	// is a paper figure, so "all" includes neither.
-	explicit := []step{
-		{"faults", func() (float64, error) { return runFaults(ctx, opts, *outDir) }},
-		{"families", func() (float64, error) { return runFamilies(ctx, opts, *outDir) }},
-		{"schedbench", func() (float64, error) { return 0, runSchedBench(*outDir, traj, *events) }},
-		{"conformance", func() (float64, error) { return 0, runConformance(ctx, opts, *outDir) }},
-		{"loadplane", func() (float64, error) {
-			return runLoadPlane(ctx, opts, *outDir, traj,
-				lpFlags{listen: *lpListen, workers: *lpWorkers, clients: *lpClients, seconds: *lpSeconds, bench: *lpBench})
+		{"fig1", false, func() error { return runFig1(opts, *outDir) }},
+		{"fig6", false, func() error { return runFig6(ctx, opts, *outDir) }},
+		{"fig7", false, func() error { return runFig7(ctx, opts, *outDir) }},
+		{"fig8", false, func() error { return runFig8(opts, *outDir) }},
+		{"fig9", false, func() error { return runFig9(opts, *outDir) }},
+		{"fig10", false, func() error { return runFig10(ctx, opts, *outDir) }},
+		{"correctness", false, func() error { return runCorrectness(ctx, opts) }},
+		{"distributed", false, func() error { return runDistributed(ctx, opts, *outDir) }},
+		{"faults", true, func() error { return runFaults(ctx, opts, *outDir) }},
+		{"families", true, func() error { return runFamilies(ctx, opts, *outDir) }},
+		{"conformance", true, func() error { return runConformance(ctx, opts, *outDir) }},
+		{"loadplane", true, func() error {
+			return runLoadPlane(ctx, opts, *outDir,
+				lpFlags{listen: *lpListen, workers: *lpWorkers, clients: *lpClients, seconds: *lpSeconds})
 		}},
-		{"blockbench", func() (float64, error) { return runBlockbench(ctx, opts, *outDir) }},
-		{"storebench", func() (float64, error) {
-			return runStoreBench(ctx, *outDir, traj, experiments.StoreBenchOptions{
-				Accounts: *sbAccounts, CacheMB: *stateCache, Ops: *sbOps,
-				Dir: *stateDir, Snapshot: *stateSnap, BaselineAccounts: *sbBaseline, Seed: *seed,
-			})
-		}},
+		{"blockbench", true, func() error { return runBlockbench(ctx, opts, *outDir) }},
 	}
 
-	if wantOnly("list") {
+	if want("list", true) {
 		fmt.Println("experiments (-exp name, comma-separated; 'all' runs the paper figures):")
 		for _, s := range steps {
-			fmt.Printf("  %s\n", s.name)
-		}
-		for _, s := range explicit {
-			fmt.Printf("  %s (explicit only)\n", s.name)
+			if s.explicit {
+				fmt.Printf("  %s (explicit only)\n", s.name)
+			} else {
+				fmt.Printf("  %s\n", s.name)
+			}
 		}
 		return nil
 	}
 
+	ran := 0
 	for _, s := range steps {
-		if !want(s.name) {
+		if !want(s.name, s.explicit) {
 			continue
 		}
 		fmt.Printf("=== %s ===\n", s.name)
-		var tps float64
-		sample, err := perf.Measure(s.name, func() error {
-			var err error
-			tps, err = s.fn()
-			return err
-		})
-		if err != nil {
+		if err := s.fn(); err != nil {
 			return fmt.Errorf("%s: %w", s.name, err)
-		}
-		sample.TPS = tps
-		if traj != nil {
-			traj.Add(sample)
-		}
-		fmt.Println()
-		ran++
-	}
-	for _, s := range explicit {
-		if !wantOnly(s.name) {
-			continue
-		}
-		fmt.Printf("=== %s ===\n", s.name)
-		var tps float64
-		sample, err := perf.Measure(s.name, func() error {
-			var err error
-			tps, err = s.fn()
-			return err
-		})
-		if err != nil {
-			return fmt.Errorf("%s: %w", s.name, err)
-		}
-		sample.TPS = tps
-		if traj != nil {
-			traj.Add(sample)
 		}
 		fmt.Println()
 		ran++
@@ -219,9 +156,6 @@ func run() error {
 	if ran == 0 {
 		known := []string{"all", "list"}
 		for _, s := range steps {
-			known = append(known, s.name)
-		}
-		for _, s := range explicit {
 			known = append(known, s.name)
 		}
 		if hint := experiments.Suggest(*exp, known); hint != "" {
@@ -232,16 +166,6 @@ func run() error {
 	if done := reg.Counter("harness/runs_completed").Value(); done > 0 {
 		fmt.Printf("harness: %.0f runs completed, %.0f failed (workers=%d)\n",
 			done, reg.Counter("harness/runs_failed").Value(), *parallel)
-	}
-	if traj != nil {
-		path, err := perf.NextPath(*outDir)
-		if err != nil {
-			return err
-		}
-		if err := perf.WriteTrajectory(path, traj); err != nil {
-			return err
-		}
-		fmt.Println("wrote", path)
 	}
 	if *memprofile != "" {
 		if err := perf.WriteHeapProfile(*memprofile); err != nil {
@@ -254,24 +178,20 @@ func run() error {
 // runFaults runs the chaos resilience experiment: every chain through the
 // crash-and-heal and partition-and-heal scenarios, reporting the TPS dip,
 // the recovery time, and how many transactions the driver's retries saved.
-func runFaults(ctx context.Context, opts experiments.Options, outDir string) (float64, error) {
+func runFaults(ctx context.Context, opts experiments.Options, outDir string) error {
 	rows, err := experiments.Faults(ctx, opts)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	var peak float64
 	for _, r := range rows {
 		fmt.Println(r)
-		if r.BaselineTPS > peak {
-			peak = r.BaselineTPS
-		}
 	}
 	faultSec := opts.MeasureSeconds / 3
 	healSec := 2 * opts.MeasureSeconds / 3
 	fmt.Printf("fault injected at t=%ds, healed at t=%ds\n", faultSec, healSec)
 	header, csvRows := experiments.FaultsCSV(rows)
 	tlHeader, tlRows := experiments.FaultsTimelineCSV(rows)
-	return peak, viz.Export(os.Stdout, outDir,
+	return viz.Export(os.Stdout, outDir,
 		viz.Dataset{Name: "faults_resilience.csv", Header: header, Rows: csvRows},
 		viz.Dataset{Name: "faults_timeline.csv", Header: tlHeader, Rows: tlRows})
 }
@@ -279,24 +199,20 @@ func runFaults(ctx context.Context, opts experiments.Options, outDir string) (fl
 // runFamilies sweeps the two consensus families along their scale axis —
 // Meepo across shard counts, the BFT committee across committee sizes — with
 // a healthy, a crash-and-heal, and an N-way-partition scenario per point.
-func runFamilies(ctx context.Context, opts experiments.Options, outDir string) (float64, error) {
+func runFamilies(ctx context.Context, opts experiments.Options, outDir string) error {
 	rows, err := experiments.Families(ctx, opts)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	var peak float64
 	for _, r := range rows {
 		fmt.Println(r)
-		if r.Throughput > peak {
-			peak = r.Throughput
-		}
 	}
 	faultSec := opts.MeasureSeconds / 3
 	healSec := 2 * opts.MeasureSeconds / 3
 	fmt.Printf("fault scenarios injected at t=%ds, healed at t=%ds\n", faultSec, healSec)
 	header, csvRows := experiments.FamiliesCSV(rows)
 	tlHeader, tlRows := experiments.FamiliesTimelineCSV(rows)
-	return peak, viz.Export(os.Stdout, outDir,
+	return viz.Export(os.Stdout, outDir,
 		viz.Dataset{Name: "families.csv", Header: header, Rows: csvRows},
 		viz.Dataset{Name: "families_timeline.csv", Header: tlHeader, Rows: tlRows})
 }
@@ -326,45 +242,6 @@ func runConformance(ctx context.Context, opts experiments.Options, outDir string
 	}
 	fmt.Printf("all %d conformance suites passed\n", len(rows))
 	return nil
-}
-
-// runSchedBench compares the binary-heap scheduler and the timer-wheel
-// scheduler on an identical deterministic event workload. The default
-// 1M-event run finishes in seconds, so -quick does not shrink it; -events
-// rescales it.
-func runSchedBench(outDir string, traj *perf.Trajectory, events int) error {
-	rows, err := experiments.SchedBench(events)
-	if err != nil {
-		return err
-	}
-	var heapRow, wheelRow *experiments.SchedBenchRow
-	for i := range rows {
-		r := &rows[i]
-		fmt.Println(*r)
-		switch r.Impl {
-		case "heap":
-			heapRow = r
-		case "wheel":
-			wheelRow = r
-		}
-		if traj != nil {
-			traj.Add(perf.Sample{
-				Name:           "schedbench/" + r.Impl,
-				WallSeconds:    r.Wall.Seconds(),
-				Allocs:         r.Allocs,
-				AllocBytes:     r.AllocBytes,
-				Events:         r.Events,
-				AllocsPerEvent: r.AllocsPerEvent,
-			})
-		}
-	}
-	if heapRow != nil && wheelRow != nil && wheelRow.Wall > 0 && wheelRow.Allocs > 0 {
-		fmt.Printf("wheel vs heap: %.2fx wall-clock, %.1fx fewer allocations\n",
-			float64(heapRow.Wall)/float64(wheelRow.Wall),
-			float64(heapRow.Allocs)/float64(wheelRow.Allocs))
-	}
-	header, csvRows := experiments.SchedBenchCSV(rows)
-	return viz.Export(os.Stdout, outDir, viz.Dataset{Name: "schedbench.csv", Header: header, Rows: csvRows})
 }
 
 // progressPrinter emits one line per completed harness run and mirrors the
@@ -418,39 +295,31 @@ func fig1Overlay(r *experiments.Fig1Result) []viz.Series {
 	return out
 }
 
-func runFig6(ctx context.Context, opts experiments.Options, outDir string) (float64, error) {
+func runFig6(ctx context.Context, opts experiments.Options, outDir string) error {
 	rows, err := experiments.Fig6(ctx, opts)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	var groups []viz.BarGroup
-	var peak float64
 	for _, r := range rows {
 		fmt.Println(r)
 		groups = append(groups, viz.BarGroup{Label: r.Chain, Values: []float64{r.Throughput}})
-		if r.Throughput > peak {
-			peak = r.Throughput
-		}
 	}
 	viz.BarChart(os.Stdout, "peak throughput (TPS)", []string{""}, groups, 48)
 	header, csvRows := experiments.Fig6CSV(rows)
-	return peak, viz.Export(os.Stdout, outDir, viz.Dataset{Name: "fig6_chain_comparison.csv", Header: header, Rows: csvRows})
+	return viz.Export(os.Stdout, outDir, viz.Dataset{Name: "fig6_chain_comparison.csv", Header: header, Rows: csvRows})
 }
 
-func runFig7(ctx context.Context, opts experiments.Options, outDir string) (float64, error) {
+func runFig7(ctx context.Context, opts experiments.Options, outDir string) error {
 	rows, err := experiments.Fig7(ctx, opts)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	var peak float64
 	for _, r := range rows {
 		fmt.Println(r)
-		if r.Throughput > peak {
-			peak = r.Throughput
-		}
 	}
 	header, csvRows := experiments.Fig7CSV(rows)
-	return peak, viz.Export(os.Stdout, outDir, viz.Dataset{Name: "fig7_framework_comparison.csv", Header: header, Rows: csvRows})
+	return viz.Export(os.Stdout, outDir, viz.Dataset{Name: "fig7_framework_comparison.csv", Header: header, Rows: csvRows})
 }
 
 func runFig8(opts experiments.Options, outDir string) error {
@@ -490,20 +359,16 @@ func runFig9(opts experiments.Options, outDir string) error {
 	return viz.Export(os.Stdout, outDir, viz.Dataset{Name: "fig9_task_processing.csv", Header: header, Rows: csvRows})
 }
 
-func runFig10(ctx context.Context, opts experiments.Options, outDir string) (float64, error) {
+func runFig10(ctx context.Context, opts experiments.Options, outDir string) error {
 	rows, err := experiments.Fig10(ctx, opts)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	var peak float64
 	for _, r := range rows {
 		fmt.Println(r)
-		if r.Throughput > peak {
-			peak = r.Throughput
-		}
 	}
 	header, csvRows := experiments.Fig10CSV(rows)
-	return peak, viz.Export(os.Stdout, outDir, viz.Dataset{Name: "fig10_concurrency.csv", Header: header, Rows: csvRows})
+	return viz.Export(os.Stdout, outDir, viz.Dataset{Name: "fig10_concurrency.csv", Header: header, Rows: csvRows})
 }
 
 func runDistributed(ctx context.Context, opts experiments.Options, outDir string) error {
@@ -535,50 +400,15 @@ func runCorrectness(ctx context.Context, opts experiments.Options) error {
 // DoNothing) on both state backends; identical mem/paged rows per workload
 // are the storage-identity check, and the paged rows carry the cache
 // economics.
-func runBlockbench(ctx context.Context, opts experiments.Options, outDir string) (float64, error) {
+func runBlockbench(ctx context.Context, opts experiments.Options, outDir string) error {
 	rows, err := experiments.Blockbench(ctx, opts)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	var peak float64
 	for _, r := range rows {
 		fmt.Println(r)
-		if r.Throughput > peak {
-			peak = r.Throughput
-		}
 	}
 	header, csvRows := experiments.BlockbenchCSV(rows)
-	return peak, viz.Export(os.Stdout, outDir,
+	return viz.Export(os.Stdout, outDir,
 		viz.Dataset{Name: "blockbench.csv", Header: header, Rows: csvRows})
-}
-
-// runStoreBench drives the paged store directly at populations beyond what
-// consensus-path setup reaches (10M+ accounts with -sb-accounts), recording
-// per-phase ops/s, cache hit rate and the heap ceiling against the in-RAM
-// baseline — one trajectory sample per phase when -benchjson is set.
-func runStoreBench(ctx context.Context, outDir string, traj *perf.Trajectory, o experiments.StoreBenchOptions) (float64, error) {
-	rows, err := experiments.StoreBench(ctx, o)
-	if err != nil {
-		return 0, err
-	}
-	var headline float64
-	for _, r := range rows {
-		fmt.Println(r)
-		if r.Backend == "paged" && r.Phase == "mixed" {
-			headline = r.OpsPerSec
-		}
-		if traj != nil {
-			traj.Add(perf.Sample{
-				Name:        fmt.Sprintf("storebench/%s/%s", r.Backend, r.Phase),
-				TPS:         r.OpsPerSec,
-				WallSeconds: float64(r.Ops) / r.OpsPerSec,
-				Events:      r.Ops,
-				Note: fmt.Sprintf("%d accounts, cache hit %.3f, bloom-neg %d, heap peak %.1f MB, cache budget %.0f MB",
-					r.Accounts, r.HitRate, r.BloomNegatives, r.HeapPeakMB, r.CacheBudgetMB),
-			})
-		}
-	}
-	header, csvRows := experiments.StoreBenchCSV(rows)
-	return headline, viz.Export(os.Stdout, outDir,
-		viz.Dataset{Name: "storebench.csv", Header: header, Rows: csvRows})
 }

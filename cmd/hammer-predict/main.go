@@ -9,7 +9,6 @@
 //	hammer-predict -exp table3
 //	hammer-predict -exp fig11 -out results/
 //	hammer-predict -exp ablation -quick
-//	hammer-predict -exp nnbench -benchjson
 package main
 
 import (
@@ -40,14 +39,13 @@ func main() {
 
 func run() error {
 	var (
-		exp        = flag.String("exp", "table3", "experiment: table3|fig11|ablation|nnbench|all; 'list' prints them all")
+		exp        = flag.String("exp", "table3", "experiment: table3|fig11|ablation|all; 'list' prints them all")
 		quick      = flag.Bool("quick", false, "shrink training budgets for a fast smoke run")
 		outDir     = flag.String("out", "results", "directory for CSV export")
 		seed       = flag.Int64("seed", 7, "random seed")
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for experiment sweeps (results are identical at any value)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		benchjson  = flag.Bool("benchjson", false, "record per-experiment wall-clock/allocs into a numbered BENCH_<n>.json under -out")
 	)
 	flag.Parse()
 
@@ -60,10 +58,6 @@ func run() error {
 			return err
 		}
 		defer stopProf()
-	}
-	var traj *perf.Trajectory
-	if *benchjson {
-		traj = perf.NewTrajectory("hammer-predict", os.Args[1:])
 	}
 
 	opts := experiments.Default()
@@ -99,7 +93,6 @@ func run() error {
 		{"table3", "=== Table III: model comparison ===", func() error { return runTable3(ctx, opts, *outDir) }},
 		{"fig11", "=== Fig 11: real vs generated sequences ===", func() error { return runFig11(ctx, opts, *outDir) }},
 		{"ablation", "=== Ablation: multi-head attention ===", func() error { return runAblation(opts) }},
-		{"nnbench", "=== nnbench: tensor kernel comparison ===", func() error { return runNnbench(*outDir, *quick, traj) }},
 	}
 
 	if len(selected) == 1 && selected[0] == "list" {
@@ -115,12 +108,8 @@ func run() error {
 			continue
 		}
 		fmt.Println(s.title)
-		sample, err := perf.Measure(s.name, s.fn)
-		if err != nil {
+		if err := s.fn(); err != nil {
 			return err
-		}
-		if traj != nil {
-			traj.Add(sample)
 		}
 		ran++
 	}
@@ -133,16 +122,6 @@ func run() error {
 			return fmt.Errorf("unknown experiment %q (did you mean %q? -exp list shows all)", *exp, hint)
 		}
 		return fmt.Errorf("unknown experiment %q (-exp list shows all)", *exp)
-	}
-	if traj != nil {
-		path, err := perf.NextPath(*outDir)
-		if err != nil {
-			return err
-		}
-		if err := perf.WriteTrajectory(path, traj); err != nil {
-			return err
-		}
-		fmt.Println("wrote", path)
 	}
 	if *memprofile != "" {
 		if err := perf.WriteHeapProfile(*memprofile); err != nil {
@@ -189,24 +168,6 @@ func runFig11(ctx context.Context, opts experiments.Options, outDir string) erro
 		}
 	}
 	return nil
-}
-
-func runNnbench(outDir string, quick bool, traj *perf.Trajectory) error {
-	rows, err := experiments.NNBench(quick)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		fmt.Println(" ", r)
-		if traj != nil {
-			traj.Add(r.Sample())
-		}
-	}
-	if s := experiments.NNBenchSpeedup(rows); s > 0 {
-		fmt.Printf("  train-step speedup, fused w=1 vs legacy: %.2fx\n", s)
-	}
-	header, csvRows := experiments.NNBenchCSV(rows)
-	return viz.Export(os.Stdout, outDir, viz.Dataset{Name: "nnbench_kernels.csv", Header: header, Rows: csvRows})
 }
 
 func runAblation(opts experiments.Options) error {

@@ -3,8 +3,8 @@
 // rewrite. It is kept for two jobs: (1) it is the semantic reference the
 // randomized property test drives the wheel scheduler against — same firing
 // order, same clock, same Stop results — and (2) it is the baseline side of
-// the scheduler microbenchmark (`hammer-bench -exp schedbench`) that
-// quantifies the rewrite's win.
+// eventsim's BenchmarkHeapScheduleFire and BenchmarkHeapCancel, which
+// quantify the rewrite's win against their BenchmarkWheel* pairs.
 //
 // Stop removes events eagerly via an indexed heap.Remove. The original
 // lazy-cancel scheme left a dead entry in the heap until the queue rotated

@@ -113,37 +113,3 @@ func TestBlockbenchBackendIdentity(t *testing.T) {
 		}
 	}
 }
-
-// TestStoreBenchQuick exercises the direct store sweep end to end at a size
-// CI can afford, including the snapshot warm-start arm.
-func TestStoreBenchQuick(t *testing.T) {
-	snap := t.TempDir() + "/bench.snap"
-	o := StoreBenchOptions{
-		Accounts: 20_000, CacheMB: 1, ValueBytes: 32, Ops: 30_000,
-		Dir: t.TempDir(), Snapshot: snap, BaselineAccounts: 20_000, Seed: 7,
-	}
-	rows, err := StoreBench(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phases := map[string]bool{}
-	for _, r := range rows {
-		phases[r.Backend+"/"+r.Phase] = true
-		if r.OpsPerSec <= 0 {
-			t.Errorf("%s/%s: no throughput", r.Backend, r.Phase)
-		}
-	}
-	for _, want := range []string{"paged/populate", "paged/read-hit", "paged/read-miss", "paged/mixed", "mem/populate", "mem/mixed"} {
-		if !phases[want] {
-			t.Errorf("missing phase %s in %v", want, phases)
-		}
-	}
-	// Second invocation must warm-start from the snapshot.
-	rows, err = StoreBench(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0].Phase != "snapshot-load" {
-		t.Errorf("second run started with %q, want snapshot-load", rows[0].Phase)
-	}
-}

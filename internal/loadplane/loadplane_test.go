@@ -2,6 +2,7 @@ package loadplane
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -310,5 +311,33 @@ func TestShardFootprintBounded(t *testing.T) {
 	fp := ShardFootprint(Range{Lo: 0, Hi: 1_000_000})
 	if fp > 20<<20 {
 		t.Fatalf("1M-client footprint %d exceeds 20 MB", fp)
+	}
+}
+
+// BenchmarkInProcess measures the sustained injection rate — arrivals
+// generated per wall-clock second — of the canonical load-plane spec at
+// 100k clients over 10 virtual seconds, across shard counts. The spec has
+// experiments.LoadPlaneSpec's shape, built inline because experiments
+// imports this package: the service drains half the offered load and queues
+// up to one second of it.
+func BenchmarkInProcess(b *testing.B) {
+	spec := DefaultSpec()
+	spec.Clients = 100_000
+	spec.Duration = 10 * time.Second
+	offered := int64(float64(spec.Clients) * spec.RatePerClient)
+	spec.Service.RatePerSec = offered/2 + 1
+	spec.Service.QueueCap = offered + 1
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			var arrivals int64
+			for i := 0; i < b.N; i++ {
+				series, err := InProcess(context.Background(), spec, shards)
+				if err != nil {
+					b.Fatal(err)
+				}
+				arrivals += metrics.SumArrivals(series)
+			}
+			b.ReportMetric(float64(arrivals)/b.Elapsed().Seconds(), "arrivals/s")
+		})
 	}
 }

@@ -295,7 +295,7 @@ func matMulForward(a, b, out *Tensor) {
 }
 
 // Legacy scalar kernels: the pre-rewrite triple loops, zero-skip included,
-// kept verbatim as the nnbench baseline and the bit-compatibility oracle.
+// kept verbatim as the benchmarks' baseline and the bit-compatibility oracle.
 
 func legacyMatMulForward(a, b, out *Tensor) {
 	for i := range out.Data {

@@ -299,7 +299,7 @@ func TestTrainStepNearZeroAllocations(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Microbenchmarks (run by the CI bench-smoke job via -exp nnbench as well).
+// Microbenchmarks, each with a legacy arm that runs the pre-rewrite kernels.
 
 func benchMatMul(b *testing.B, size int, legacy bool) {
 	prev := SetLegacyKernels(legacy)

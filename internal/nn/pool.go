@@ -18,10 +18,10 @@ import (
 
 // legacyKernels switches the whole package to the pre-rewrite behaviour:
 // naive triple-loop GEMM with the data-dependent zero-skip, unfused layer
-// graphs, and no buffer recycling. It exists so benchmarks (hammer-predict
-// -exp nnbench) can compare old and new stacks in one binary, and so tests
-// can pin the two paths to identical numerics. Not intended to be toggled
-// while graphs are alive.
+// graphs, and no buffer recycling. It exists so BenchmarkMatMul and
+// BenchmarkTrainStep can compare old and new stacks in one binary, and so
+// tests can pin the two paths to identical numerics. Not intended to be
+// toggled while graphs are alive.
 var legacyKernels atomic.Bool
 
 // SetLegacyKernels selects the pre-rewrite scalar kernels (true) or the

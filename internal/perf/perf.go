@@ -1,121 +1,14 @@
-// Package perf provides the measurement plumbing behind the CLIs'
-// -cpuprofile, -memprofile and -benchjson flags: wall-clock and allocation
-// accounting per experiment, numbered BENCH_<n>.json trajectory files so
-// successive optimisation PRs can prove wins (or catch regressions) against
-// committed baselines, and thin wrappers over runtime/pprof.
+// Package perf holds the profiling plumbing behind the CLIs' -cpuprofile and
+// -memprofile flags: thin wrappers over runtime/pprof. Throughput is measured
+// elsewhere — per package by `go test -bench`, end to end by benchmark/.
 package perf
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"time"
 )
-
-// Sample is one measured unit of work — an experiment, a sweep, or a
-// microbenchmark side.
-type Sample struct {
-	Name string `json:"name"`
-	// TPS is the unit's headline throughput, when it has one (e.g. fig6's
-	// peak chain throughput); zero otherwise.
-	TPS float64 `json:"tps,omitempty"`
-	// WallSeconds is real elapsed time for the unit.
-	WallSeconds float64 `json:"wall_seconds"`
-	// Allocs and AllocBytes are heap allocation deltas (runtime.MemStats
-	// Mallocs / TotalAlloc) across the unit, all goroutines included.
-	Allocs     uint64 `json:"allocs"`
-	AllocBytes uint64 `json:"alloc_bytes"`
-	// Events and AllocsPerEvent are set by microbenchmarks that count
-	// discrete operations.
-	Events         int     `json:"events,omitempty"`
-	AllocsPerEvent float64 `json:"allocs_per_event,omitempty"`
-	Note           string  `json:"note,omitempty"`
-}
-
-// Trajectory is the content of one BENCH_<n>.json file: environment
-// fingerprint plus the run's samples, append-ordered.
-type Trajectory struct {
-	Tool      string   `json:"tool"`
-	CreatedAt string   `json:"created_at"`
-	GoVersion string   `json:"go_version"`
-	GOOS      string   `json:"goos"`
-	GOARCH    string   `json:"goarch"`
-	CPUs      int      `json:"cpus"`
-	Args      []string `json:"args,omitempty"`
-	Samples   []Sample `json:"samples"`
-}
-
-// NewTrajectory stamps a trajectory with the current environment.
-func NewTrajectory(tool string, args []string) *Trajectory {
-	return &Trajectory{
-		Tool:      tool,
-		CreatedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		CPUs:      runtime.GOMAXPROCS(0),
-		Args:      args,
-	}
-}
-
-// Add appends a sample.
-func (t *Trajectory) Add(s Sample) {
-	t.Samples = append(t.Samples, s)
-}
-
-// Measure runs fn, accounting wall-clock time and heap allocations. A GC
-// runs first so the MemStats deltas are not polluted by garbage from before
-// the unit. The sample is returned even when fn fails, so a trajectory can
-// record how far a broken run got.
-func Measure(name string, fn func() error) (Sample, error) {
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	err := fn()
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	return Sample{
-		Name:        name,
-		WallSeconds: wall.Seconds(),
-		Allocs:      after.Mallocs - before.Mallocs,
-		AllocBytes:  after.TotalAlloc - before.TotalAlloc,
-	}, err
-}
-
-// NextPath returns the first unused BENCH_<n>.json path under dir, creating
-// dir if needed. Numbering starts at 1 and fills the lowest gap-free slot
-// after the highest existing file, so committed baselines are never
-// overwritten.
-func NextPath(dir string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("perf: create output dir: %w", err)
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		return "", err
-	}
-	max := 0
-	for _, m := range matches {
-		var n int
-		if _, err := fmt.Sscanf(filepath.Base(m), "BENCH_%d.json", &n); err == nil && n > max {
-			max = n
-		}
-	}
-	return filepath.Join(dir, fmt.Sprintf("BENCH_%04d.json", max+1)), nil
-}
-
-// WriteTrajectory marshals the trajectory to path, indented for diffability.
-func WriteTrajectory(path string, t *Trajectory) error {
-	data, err := json.MarshalIndent(t, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
 
 // StartCPUProfile begins a CPU profile into path and returns the stop
 // function to defer.

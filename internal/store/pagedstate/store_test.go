@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -216,6 +217,35 @@ func TestTinyCacheLargePopulation(t *testing.T) {
 	}
 	if st.Evictions == 0 {
 		t.Fatal("no evictions at 8 frames over 20k keys")
+	}
+}
+
+// TestHeapBoundedByCache proves the store's heap tracks the cache budget,
+// not the population: 100k keys carry ≈7.7 MB of raw payload, so a cache
+// that kept evicted pages, or any in-RAM copy of the data, would blow the
+// bound that a 1 MiB cache plus the directory and Bloom filters fits in.
+func TestHeapBoundedByCache(t *testing.T) {
+	const (
+		keys      = 100_000
+		maxGrowth = 4 << 20
+	)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := mustOpen(t, Config{Dir: t.TempDir(), CacheBytes: 1 << 20, ExpectedKeys: keys})
+	val := make([]byte, 64)
+	for i := 0; i < keys; i++ {
+		val[0] = byte(i)
+		s.Set(fmt.Sprintf("acct%07d", i), val, uint64(i))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if s.Len() != keys {
+		t.Fatalf("Len = %d, want %d", s.Len(), keys)
+	}
+	if grew := int64(after.HeapInuse) - int64(before.HeapInuse); grew > maxGrowth {
+		t.Fatalf("HeapInuse grew %.1f MiB over %d keys with a 1 MiB cache, want ≤ %d MiB",
+			float64(grew)/(1<<20), keys, maxGrowth>>20)
 	}
 }
 
