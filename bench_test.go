@@ -293,7 +293,7 @@ func BenchmarkFig11Generation(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (DESIGN.md §12) ---
+// --- Ablation benchmarks (DESIGN.md §11) ---
 
 // BenchmarkAblationBloomFilter isolates the Bloom filter's value when
 // foreign transactions dominate block contents (the distributed-testing

@@ -42,17 +42,13 @@ func main() {
 
 func run() error {
 	var (
-		exp        = flag.String("exp", "all", "experiment: fig1|fig6|fig7|fig8|fig9|fig10|correctness|distributed|all, plus faults, families, conformance, loadplane and blockbench (explicit only); 'list' prints them all")
+		exp        = flag.String("exp", "all", "experiment: fig1|fig6|fig7|fig8|fig9|fig10|correctness|distributed|all, plus faults, families, conformance and blockbench (explicit only); 'list' prints them all")
 		quick      = flag.Bool("quick", false, "shrink workloads for a fast smoke run")
 		outDir     = flag.String("out", "results", "directory for CSV export")
 		seed       = flag.Int64("seed", 7, "random seed")
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for experiment sweeps (results are identical at any value)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		lpListen   = flag.String("lp-listen", "", "serve the load-plane coordinator at this address for external hammer-worker processes (-exp loadplane)")
-		lpWorkers  = flag.Int("lp-workers", 2, "load-plane partition count: expected worker processes with -lp-listen, in-process shards otherwise")
-		lpClients  = flag.Int("lp-clients", 0, "run the canonical load-plane spec at this population and write loadplane_merged.csv (0 = scale sweep)")
-		lpSeconds  = flag.Int("lp-seconds", 0, "virtual duration of the canonical load-plane spec (0 = the experiment default)")
 		stateKind  = flag.String("state", "mem", "world-state backend every SUT run mounts: mem (in-RAM map) | paged (disk-backed paged store); results are byte-identical")
 		stateCache = flag.Int("state-cache-mb", 0, "page-cache budget per paged state instance in MiB (0 = store default, 64)")
 		stateDir   = flag.String("state-dir", "", "directory for paged-state files (default: OS temp); run files are removed afterwards")
@@ -105,8 +101,8 @@ func run() error {
 		name string
 		// explicit marks a step that is not a paper figure, so "all" does
 		// not include it: faults and families are resilience studies,
-		// conformance a correctness suite, loadplane and blockbench
-		// framework-scale workloads.
+		// conformance a correctness suite, blockbench a framework-scale
+		// workload.
 		explicit bool
 		fn       func() error
 	}
@@ -122,10 +118,6 @@ func run() error {
 		{"faults", true, func() error { return runFaults(ctx, opts, *outDir) }},
 		{"families", true, func() error { return runFamilies(ctx, opts, *outDir) }},
 		{"conformance", true, func() error { return runConformance(ctx, opts, *outDir) }},
-		{"loadplane", true, func() error {
-			return runLoadPlane(ctx, opts, *outDir,
-				lpFlags{listen: *lpListen, workers: *lpWorkers, clients: *lpClients, seconds: *lpSeconds})
-		}},
 		{"blockbench", true, func() error { return runBlockbench(ctx, opts, *outDir) }},
 	}
 

@@ -20,8 +20,6 @@ import (
 
 	"hammer"
 	"hammer/internal/chain"
-	"hammer/internal/core"
-	"hammer/internal/loadplane"
 	"hammer/internal/store/pagedstate"
 	"hammer/internal/viz"
 )
@@ -48,7 +46,6 @@ func run() error {
 		seed         = flag.Int64("seed", 7, "random seed")
 		outDir       = flag.String("out", "", "directory for CSV export (optional)")
 		showViz      = flag.Bool("viz", true, "run the SQL visualization phase")
-		openLoop     = flag.Int("openloop", 0, "drive injection from an open-loop population of this many simulated clients (-rate becomes the population's aggregate rate; 0 = flat-rate injection)")
 		stateKind    = flag.String("state", "mem", "world-state backend: mem (in-RAM map) | paged (disk-backed paged store)")
 		stateCacheMB = flag.Int("state-cache-mb", 64, "page-cache budget per state instance for -state=paged, in MiB")
 		stateDir     = flag.String("state-dir", "", "directory for paged-state files (default: OS temp); run files are removed at exit")
@@ -85,20 +82,7 @@ func run() error {
 	}
 	cfg.Clients = *clients
 	cfg.Threads = *threads
-	if *openLoop > 0 {
-		spec := loadplane.DefaultSpec()
-		spec.Clients = *openLoop
-		spec.RatePerClient = *rate / float64(*openLoop)
-		spec.Duration = *duration
-		spec.Seed = *seed
-		merged, err := loadplane.InProcess(context.Background(), spec, 1)
-		if err != nil {
-			return fmt.Errorf("open-loop generation: %w", err)
-		}
-		cfg.Control = core.OpenLoopControl(spec, merged, 0)
-	} else {
-		cfg.Control = hammer.ConstantLoad(*rate, *duration, time.Second)
-	}
+	cfg.Control = hammer.ConstantLoad(*rate, *duration, time.Second)
 	switch *driver {
 	case "hammer":
 		cfg.Driver = hammer.DriverHammer

@@ -34,10 +34,10 @@ type Engine struct {
 	lastHeights []uint64
 	pollTicker  *eventsim.Ticker
 
-	submitted      int
-	rejected       int
-	dropped        int // interactive responses lost to listener backlog
-	retried        int // resubmissions performed by the retry path
+	submitted int
+	rejected  int
+	dropped   int // interactive responses lost to listener backlog
+	retried   int // resubmissions performed by the retry path
 	// retryQueue is the deterministic FIFO of transactions the retry path is
 	// watching; it is scanned on poll ticks in dispatch order, so retry
 	// behaviour is independent of map iteration or wall-clock effects.

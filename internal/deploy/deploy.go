@@ -6,10 +6,11 @@
 package deploy
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 	"time"
 
 	"hammer/internal/chain"
@@ -19,7 +20,6 @@ import (
 	"hammer/internal/chains/meepo"
 	"hammer/internal/chains/neuchain"
 	"hammer/internal/eventsim"
-	"hammer/internal/loadplane"
 	"hammer/internal/netsim"
 )
 
@@ -32,12 +32,9 @@ type Playbook struct {
 	Kind string `json:"kind"`
 	// Net overrides the cluster network (optional).
 	Net *NetSpec `json:"net,omitempty"`
-	// Cluster declares the distributed load plane: where the coordinator
-	// listens and which named worker processes generate traffic (optional).
-	Cluster *ClusterSpec `json:"cluster,omitempty"`
 	// Exactly one of the per-chain specs may be set; nil uses defaults.
-	Ethereum *EthereumSpec `json:"ethereum,omitempty"`
-	Fabric   *FabricSpec   `json:"fabric,omitempty"`
+	Ethereum  *EthereumSpec  `json:"ethereum,omitempty"`
+	Fabric    *FabricSpec    `json:"fabric,omitempty"`
 	Neuchain  *NeuchainSpec  `json:"neuchain,omitempty"`
 	Meepo     *MeepoSpec     `json:"meepo,omitempty"`
 	Committee *CommitteeSpec `json:"committee,omitempty"`
@@ -71,29 +68,6 @@ func (n *NetSpec) toConfig() netsim.Config {
 	}
 	return cfg
 }
-
-// ClusterSpec declares the distributed load plane of a deployment: the
-// coordinator's listen address and the worker processes that will join it.
-type ClusterSpec struct {
-	// Coordinator is the address the coordinator serves on (host:port).
-	Coordinator string `json:"coordinator"`
-	// Workers are the traffic-generation processes. Names must be unique —
-	// a worker's name is its identity for crash rejoin, so two workers
-	// sharing one name would silently corrupt each other's resume state.
-	Workers []WorkerSpec `json:"workers"`
-}
-
-// WorkerSpec names one load-plane worker and optionally pins its half-open
-// client range [lo, hi). Leaving both zero lets the coordinator assign a
-// balanced range at join time.
-type WorkerSpec struct {
-	Name string `json:"name"`
-	Lo   int    `json:"lo,omitempty"`
-	Hi   int    `json:"hi,omitempty"`
-}
-
-// pinned reports whether the spec pins an explicit client range.
-func (w WorkerSpec) pinned() bool { return w.Lo != 0 || w.Hi != 0 }
 
 // EthereumSpec overrides the Ethereum simulator's defaults.
 type EthereumSpec struct {
@@ -153,11 +127,17 @@ func Load(path string) (*Playbook, error) {
 
 // Parse decodes a playbook from JSON and validates it, so a typo'd kind or
 // an absurd override fails here rather than halfway through building (or
-// running) the cluster.
+// running) the cluster. Unknown fields and trailing data are errors too: a
+// misspelt key would otherwise be dropped and the run would use defaults.
 func Parse(raw []byte) (*Playbook, error) {
 	pb := &Playbook{}
-	if err := json.Unmarshal(raw, pb); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(pb); err != nil {
 		return nil, fmt.Errorf("deploy: parse playbook: %w", err)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return nil, fmt.Errorf("deploy: parse playbook: trailing data after the playbook object")
 	}
 	if pb.Kind == "" {
 		return nil, fmt.Errorf("deploy: playbook %q missing kind", pb.Name)
@@ -253,72 +233,7 @@ func (pb *Playbook) validate() error {
 			return err
 		}
 	}
-	if pb.Cluster != nil {
-		if err := pb.Cluster.validate(pb.Name); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// validate rejects cluster declarations that would misbehave at run time:
-// duplicate worker names (rejoin identity collisions) and overlapping pinned
-// client ranges (two workers generating — and double-counting — the same
-// clients).
-func (c *ClusterSpec) validate(playbook string) error {
-	if c.Coordinator == "" {
-		return fmt.Errorf("deploy: playbook %q: cluster missing coordinator address", playbook)
-	}
-	if len(c.Workers) == 0 {
-		return fmt.Errorf("deploy: playbook %q: cluster declares no workers", playbook)
-	}
-	seen := make(map[string]bool, len(c.Workers))
-	var pinned []WorkerSpec
-	for _, w := range c.Workers {
-		if w.Name == "" {
-			return fmt.Errorf("deploy: playbook %q: cluster worker missing name", playbook)
-		}
-		if seen[w.Name] {
-			return fmt.Errorf("deploy: playbook %q: duplicate worker name %q", playbook, w.Name)
-		}
-		seen[w.Name] = true
-		if !w.pinned() {
-			continue
-		}
-		if w.Lo < 0 || w.Hi <= w.Lo {
-			return fmt.Errorf("deploy: playbook %q: worker %q has invalid client range [%d,%d)",
-				playbook, w.Name, w.Lo, w.Hi)
-		}
-		pinned = append(pinned, w)
-	}
-	sort.Slice(pinned, func(i, j int) bool { return pinned[i].Lo < pinned[j].Lo })
-	for i := 1; i < len(pinned); i++ {
-		if pinned[i].Lo < pinned[i-1].Hi {
-			return fmt.Errorf("deploy: playbook %q: workers %q and %q have overlapping client ranges [%d,%d) and [%d,%d)",
-				playbook, pinned[i-1].Name, pinned[i].Name,
-				pinned[i-1].Lo, pinned[i-1].Hi, pinned[i].Lo, pinned[i].Hi)
-		}
-	}
-	return nil
-}
-
-// Assignments converts the cluster's worker specs into the coordinator's
-// pinned range assignments for a population of the given size: pinned
-// workers keep their declared ranges, unpinned workers take the balanced
-// partition range at their position. The coordinator rejects pinned ranges
-// that do not match its partition, so a playbook disagreeing with the spec
-// fails loudly at startup rather than skewing results.
-func (c *ClusterSpec) Assignments(clients int) map[string]loadplane.Range {
-	ranges := loadplane.PartitionClients(clients, len(c.Workers))
-	out := make(map[string]loadplane.Range, len(c.Workers))
-	for i, w := range c.Workers {
-		if w.pinned() {
-			out[w.Name] = loadplane.Range{Lo: w.Lo, Hi: w.Hi}
-		} else if i < len(ranges) {
-			out[w.Name] = ranges[i]
-		}
-	}
-	return out
 }
 
 // Run builds the declared SUT on the scheduler. It is the equivalent of

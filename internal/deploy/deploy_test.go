@@ -3,6 +3,7 @@ package deploy
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hammer/internal/eventsim"
@@ -30,11 +31,22 @@ func TestUnknownKind(t *testing.T) {
 }
 
 func TestParseValidation(t *testing.T) {
-	if _, err := Parse([]byte(`{`)); err == nil {
-		t.Fatal("bad JSON should error")
-	}
-	if _, err := Parse([]byte(`{"name":"x"}`)); err == nil {
-		t.Fatal("missing kind should error")
+	for _, tc := range []struct {
+		name, raw, want string
+	}{
+		{"bad JSON", `{`, ""},
+		{"missing kind", `{"name":"x"}`, "missing kind"},
+		{"unknown section", `{"name":"lp","kind":"fabric","cluster":{"coordinator":"127.0.0.1:9193"}}`, `"cluster"`},
+		{"nested typo", `{"name":"x","kind":"fabric","fabric":{"peerz":3}}`, `"peerz"`},
+		{"trailing object", `{"name":"x","kind":"fabric"} {}`, "trailing data"},
+	} {
+		_, err := Parse([]byte(tc.raw))
+		if err == nil {
+			t.Fatalf("%s: %s parsed, want an error", tc.name, tc.raw)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: error %q does not name %s", tc.name, err, tc.want)
+		}
 	}
 	pb, err := Parse([]byte(`{"name":"x","kind":"fabric"}`))
 	if err != nil {

@@ -20,6 +20,7 @@ func FuzzPlaybook(f *testing.F) {
 		`{`,
 		`null`,
 		`[]`,
+		`{"name":"lp","kind":"fabric","cluster":{}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -69,9 +69,9 @@ type wheel struct {
 	// drain holds the events of one absolute slot (drainAbs), sorted by
 	// (at, seq); drainIdx is the next event to fire. drainLoaded reports
 	// whether a slot is currently loaded.
-	drain      []*event
-	drainIdx   int
-	drainAbs   int64
+	drain       []*event
+	drainIdx    int
+	drainAbs    int64
 	drainLoaded bool
 
 	free []*event

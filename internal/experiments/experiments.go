@@ -35,9 +35,6 @@ type Options struct {
 	ModelLookback int
 	// ModelHidden is the neural width for Table III.
 	ModelHidden int
-	// LoadClients is the client-population sweep for the load-plane
-	// experiment (open- vs closed-loop injection at each scale).
-	LoadClients []int
 	// FamilyShards and FamilyCommittees are the scale axes of the
 	// consensus-family sweep: Meepo shard counts and BFT committee sizes.
 	FamilyShards     []int
@@ -86,7 +83,6 @@ func Default() Options {
 		ModelEpochs:    150,
 		ModelLookback:  24,
 		ModelHidden:    16,
-		LoadClients:    []int{100_000, 500_000, 1_000_000},
 		// The paper-scale family sweep spans 2 to 64 shards or validators.
 		FamilyShards:     []int{2, 8, 32, 64},
 		FamilyCommittees: []int{2, 8, 32, 64},
@@ -106,7 +102,6 @@ func Quick() Options {
 		ModelEpochs:    8,
 		ModelLookback:  12,
 		ModelHidden:    8,
-		LoadClients:    []int{2_000, 10_000},
 		// Small points with distinct quorum shapes: 4 tolerates one fault,
 		// 7 tolerates two.
 		FamilyShards:     []int{2, 4},
@@ -143,9 +138,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.ModelHidden <= 0 {
 		o.ModelHidden = def.ModelHidden
-	}
-	if len(o.LoadClients) == 0 {
-		o.LoadClients = def.LoadClients
 	}
 	if len(o.FamilyShards) == 0 {
 		o.FamilyShards = def.FamilyShards

@@ -32,7 +32,7 @@ func NoRetry() RetryPolicy { return RetryPolicy{} }
 
 // Conn is one JSON-RPC endpoint: a URL plus a keep-alive HTTP transport.
 // Every Conn owns its own http.Transport with idle-connection pooling, so a
-// worker streaming thousands of metric-window batches reuses one TCP
+// client streaming thousands of CallBatch requests reuses one TCP
 // connection instead of dialing per call.
 type Conn struct {
 	url    string
@@ -40,7 +40,7 @@ type Conn struct {
 	retry  RetryPolicy
 	nextID atomic.Int64
 	// redials counts HTTP round-trips that were retried after a transport
-	// failure — observable in tests and worker logs.
+	// failure — observable in tests and client logs.
 	redials atomic.Int64
 }
 

@@ -11,10 +11,10 @@ import (
 type HandlerFunc func(params json.RawMessage) (any, *Error)
 
 // Mux routes JSON-RPC method names to handlers. The chain bridge registers
-// the hammer.* methods on one; the load-plane coordinator registers the
-// loadplane.* methods on another; both are served by the same Server, so any
-// subsystem can expose a service over the wire without touching the
-// transport layer.
+// the hammer.* methods on one; any other method table is served by the same
+// Server through NewMuxServer, so a subsystem can expose a service over the
+// wire without touching the transport layer, and a client can stream calls
+// to it with Conn.CallBatch.
 type Mux struct {
 	mu       sync.RWMutex
 	handlers map[string]HandlerFunc

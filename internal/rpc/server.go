@@ -48,13 +48,13 @@ func NewServer(bc chain.Blockchain, opts ...ServerOption) *Server {
 }
 
 // NewMuxServer serves an arbitrary method table — the entry point for
-// non-chain services such as the load-plane coordinator.
+// services other than the chain bridge.
 func NewMuxServer(mux *Mux) *Server {
 	return &Server{mux: mux}
 }
 
-// maxBody bounds one POST body; a batch of metric-window reports fits with
-// orders of magnitude to spare.
+// maxBody bounds one POST body; a CallBatch of thousands of small calls fits
+// with orders of magnitude to spare.
 const maxBody = 8 << 20
 
 // ServeHTTP implements http.Handler.
